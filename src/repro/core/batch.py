@@ -188,6 +188,21 @@ class EncodedBatch:
         for t in range(len(offsets) - 1):
             yield int(offsets[t]), int(offsets[t + 1])
 
+    def tree_windows(self, rows: int) -> Iterator[list[tuple[int, int]]]:
+        """:meth:`tree_segments` grouped into consecutive windows.
+
+        Each window spans at most ``rows`` rows, except that a tree
+        longer than ``rows`` forms a window of its own.
+        """
+        window: list[tuple[int, int]] = []
+        for start, stop in self.tree_segments():
+            if window and stop - window[0][0] > rows:
+                yield window
+                window = []
+            window.append((start, stop))
+        if window:
+            yield window
+
     def iter_residue_groups(self) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(residue, row_indices)`` for each touched stream.
 

@@ -186,6 +186,25 @@ class SketchMatrix:  # sketchlint: single-writer
             return float(groups[middle])
         return float((groups[middle - 1] + groups[middle]) / 2.0)
 
+    def boost_sums(self, sums: list[int]) -> float:
+        """:meth:`_boost` from exact integer group sums ``S_g``.
+
+        ``sums[g]`` is ``Σ_{i∈g} z_i`` over group ``g``'s ``s1``
+        instances.  When every partial sum of a group stays below
+        ``2^53`` in magnitude, the float64 sum ``_boost`` forms is exact
+        whatever its order, so its group mean is ``float(S_g) / s1``
+        correctly rounded — which is what Python's int true division
+        computes.  The sort and the median are the same float
+        operations, so the result is bit-identical to ``_boost`` on the
+        per-instance products.  The top-k block path relies on this.
+        """
+        s1 = self.s1
+        means = sorted(total / s1 for total in sums)
+        middle = self.s2 >> 1
+        if self.s2 & 1:
+            return means[middle]
+        return (means[middle - 1] + means[middle]) / 2.0
+
     def estimate(self, value: int, adjust: np.ndarray | None = None) -> float:
         """Boosted estimate of the frequency of ``value``.
 

@@ -8,6 +8,11 @@ must agree *bit for bit*, not just statistically.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,3 +80,35 @@ def test_estimates_are_reproducible(trees, seed):
     second = _build(seed, trees)
     for query in ("(A (B))", "(B (A) (C))"):
         assert first.estimate_ordered(query) == second.estimate_ordered(query)
+
+
+_CROSS_PROCESS_QUERIES = """
+from repro import SketchTree
+from repro.datasets import TreebankGenerator
+
+synopsis = SketchTree(
+    s1=20, s2=5, max_pattern_edges=3, n_virtual_streams=31, seed=3,
+    maintain_summary=True,
+)
+synopsis.ingest(TreebankGenerator(seed=1).generate(40))
+print(repr(synopsis.estimate_unordered("(S (NP) (VP) (PP))")))
+print(repr(synopsis.estimate_unordered("(NP (DT) (NN) (JJ))")))
+print(repr(synopsis.estimate_xpath("//VP/*")))
+"""
+
+
+def test_set_ordered_estimates_agree_across_hash_seeds():
+    """Unordered and ``*``/``//`` estimates sum values taken from sets,
+    whose order follows the string-hash seed; the float partials must
+    still add up to the same last bit in every process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", _CROSS_PROCESS_QUERIES],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].split()) == 3

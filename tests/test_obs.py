@@ -306,6 +306,24 @@ class TestIngestNeutrality:
         assert "topk_evictions_total" in names
         assert "topk_rearrivals_total" in names
 
+    def test_track_span_separate_from_apply(self):
+        topk = SketchTreeConfig(
+            s1=12, s2=3, max_pattern_edges=2, n_virtual_streams=13, topk_size=3
+        )
+        registry = MetricsRegistry()
+        synopsis = SketchTree(topk, metrics=registry)
+        synopsis.update_batch(trees())
+        synopsis.update(trees()[0])
+        synopsis.delete_tree(trees()[0])  # applies without tracking
+        histograms = {h.name: h for h in registry.all_histograms()}
+        assert histograms["ingest_apply_seconds"].count == 3
+        assert histograms["ingest_track_seconds"].count == 2
+        assert histograms["ingest_track_seconds"].total > 0
+        # With top-k off nothing is tracked, so no track span appears.
+        plain = MetricsRegistry()
+        SketchTree(CONFIG, metrics=plain).update_batch(trees())
+        assert "ingest_track_seconds" not in {h.name for h in plain.all_histograms()}
+
     def test_ingest_instruments_populated(self):
         registry = MetricsRegistry()
         synopsis = SketchTree(CONFIG, metrics=registry)

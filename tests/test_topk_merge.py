@@ -99,7 +99,8 @@ class TestFoldRefold:
         matrix = SketchMatrix(30, 3, seed=2)
         matrix.update_counts({1: 300, 2: 200, 3: 4, 4: 2})
         tracker = TopKTracker(2, matrix)
-        tracker.process_many([1, 2, 3, 4])
+        for value in (1, 2, 3, 4):
+            tracker.process(value)
         candidates = tracker.unfold()
         linear = matrix.counters.copy()
 
