@@ -8,9 +8,9 @@ drives one full lifecycle against it:
    port;
 2. wait for ``/readyz``;
 3. ingest a small stream across the shards, with a drain to quiesce;
-4. query the lock-free read path and the exact-merge admin path, and
-   check the merged answer equals a single-threaded reference synopsis
-   built in this process (AMS linearity over HTTP);
+4. query the lock-free read path and the quiesced admin path, and
+   check that both answers equal a single-threaded reference synopsis
+   built in this process, bit for bit (AMS linearity over HTTP);
 5. scrape ``/metrics`` and verify the exposition text parses (including
    the deliberately multi-line HELP string of ``serve_queue_depth``);
 6. send SIGTERM and verify the graceful path: exit code 0, final
@@ -19,8 +19,9 @@ drives one full lifecycle against it:
 A second boot then exercises the mergeable-top-k surface
 (``--topk 4 --window-trees 16``): per-shard trackers and sliding
 windows run freely, ``/window/topk`` serves the live trending-pattern
-list, ``/admin/topk`` the exact-merged whole-stream one, and
-``/metrics`` exports the top-k gauges.  (No bit-identity assertion on
+list, ``/admin/topk`` the exact-merged whole-stream one, the windows
+answer ordered and xpath estimates, and ``/metrics`` exports the top-k
+gauges.  (No bit-identity assertion on
 this boot: the admin merge *refolds* trackers over the shards' union of
 heavy hitters, which legitimately differs from a single-threaded
 tracker's history — the counters, once unfolded, are what's
@@ -51,6 +52,7 @@ STREAM = [
 ] * 8
 
 QUERY = "(article (author))"
+XPATH = "/article/author"
 
 CONFIG = SketchTreeConfig(
     s1=40, s2=5, max_pattern_edges=3, n_virtual_streams=31, seed=11
@@ -135,6 +137,9 @@ def topk_window_smoke() -> None:
         estimate = post(base, "/window/estimate/ordered", {"query": QUERY})
         assert estimate["window_trees"] == 16, estimate
         print(f"window estimate for {QUERY}: {estimate['estimate']:.1f}")
+        xpath = post(base, "/window/estimate/xpath", {"query": XPATH})
+        assert xpath["estimate"] > 0, xpath
+        print(f"window estimate for {XPATH}: {xpath['estimate']:.1f}")
 
         metrics = get(base, "/metrics")
         for gauge in (
@@ -167,15 +172,17 @@ def main() -> int:
         assert drained["n_trees"] == len(STREAM), drained
         print(f"ingested and drained {drained['n_trees']} trees")
 
-        fast = post(base, "/estimate/ordered", {"query": QUERY})
-        exact_merge = post(base, "/admin/estimate/ordered", {"query": QUERY})
+        lockfree = post(base, "/estimate/ordered", {"query": QUERY})
+        admin = post(base, "/admin/estimate/ordered", {"query": QUERY})
         reference = SketchTree(CONFIG)
         reference.update_batch([from_sexpr(text) for text in STREAM])
         expected = reference.estimate_ordered(QUERY)
-        assert exact_merge["estimate"] == expected, (exact_merge, expected)
+        assert lockfree["estimate"] == admin["estimate"] == expected, (
+            lockfree, admin, expected,
+        )
         print(
-            f"estimates for {QUERY}: lock-free sum {fast['estimate']:.1f}, "
-            f"merged {exact_merge['estimate']:.1f} == reference (bit-identical)"
+            f"estimates for {QUERY}: lock-free {lockfree['estimate']:.1f} "
+            f"== admin {admin['estimate']:.1f} == reference (bit-identical)"
         )
 
         metrics = get(base, "/metrics")

@@ -10,6 +10,8 @@
   ground-truth oracle in experiments.
 * :mod:`~repro.core.expressions` — the Section 4 query-expression algebra
   (``+``, ``−``, ``×`` over ``COUNT_ord`` atoms) with unbiased estimators.
+* :class:`~repro.core.view.CounterView` — the one read path: every
+  estimator, over one synopsis' counters or several synopses' sums.
 """
 
 from repro.core.batch import EncodedBatch
@@ -40,6 +42,7 @@ from repro.core.snapshot import (
     snapshot_to_bytes,
 )
 from repro.core.topk import TopKTracker
+from repro.core.view import CounterView
 from repro.core.window import WindowedSketchTree
 from repro.core.virtual import VirtualStreams, is_prime, next_prime
 
@@ -47,6 +50,7 @@ __all__ = [
     "CheckpointManager",
     "ConfigRecommendation",
     "Count",
+    "CounterView",
     "ExactCounter",
     "FORMAT_VERSION",
     "Interval",

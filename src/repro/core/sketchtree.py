@@ -13,7 +13,9 @@ top-k mass of queried values is compensated, and the median-of-means
 estimator answers — for single patterns, unordered patterns (Section 3.3),
 sums of distinct patterns (Theorem 2), arithmetic expressions (Section 4),
 and ``*``/``//`` queries resolved against a structural summary
-(Section 6.2).
+(Section 6.2).  The estimator bodies live on
+:class:`~repro.core.view.CounterView`, which windows and shards read
+through too; :meth:`SketchTree.view` is this synopsis' own.
 
 Every ingestion path — :meth:`update` (tree at a time), the cross-tree
 micro-batched :meth:`update_batch`, :meth:`update_from_patterns` (the
@@ -41,18 +43,19 @@ import numpy as np
 from repro.core.batch import EncodedBatch
 from repro.core.config import TOPK_RNG_SALT, XI_SEED_OFFSET, SketchTreeConfig
 from repro.core.encoding import PatternEncoder
-from repro.core.expressions import Expression, required_independence
 from repro.core.memory import MemoryReport
 from repro.core.topk import fold_vector
+from repro.core.view import CounterView, Queries, check_composable, coerce_pattern
 from repro.core.virtual import VirtualStreams
 from repro.enumtree.enumerate import PatternTableMemo, collect_forest_patterns
-from repro.errors import ConfigError, QueryError
+from repro.errors import ConfigError
 from repro.obs.registry import COUNT_BUCKETS, Registry, get_default_registry
-from repro.query.pattern import arrangements, pattern_edges, validate_pattern
-from repro.query.summary import QueryNode, StructuralSummary
-from repro.sketch.ams import _CHUNK, SketchMatrix
+from repro.query.summary import StructuralSummary
+from repro.sketch.ams import _CHUNK
 from repro.trees.tree import LabeledTree, Nested
 
+#: ``coerce_pattern`` lives with the estimators in :mod:`repro.core.view`.
+__all__ = ["SketchTree", "coerce_pattern"]
 
 #: Rows per ξ window on the tracked ingest path: an int8 block this long
 #: takes the bytes of one ``(n_instances, _CHUNK)`` int64 block.
@@ -63,35 +66,7 @@ _WINDOW_ROWS = 8 * _CHUNK
 _TRACK_ROWS = _CHUNK // 8
 
 
-def _any_label_has_or(pattern: Nested) -> bool:
-    from repro.query.pattern import OR_SEPARATOR
-
-    stack = [pattern]
-    while stack:
-        label, children = stack.pop()
-        if OR_SEPARATOR in label:
-            return True
-        stack.extend(children)
-    return False
-
-
-def coerce_pattern(query) -> Nested:
-    """Accept a nested tuple, s-expression string, tree, or plain
-    :class:`QueryNode`, and return the canonical nested-tuple pattern."""
-    if isinstance(query, str):
-        from repro.trees.builders import from_sexpr
-
-        return from_sexpr(query).to_nested()
-    if isinstance(query, LabeledTree):
-        return query.to_nested()
-    if isinstance(query, QueryNode):
-        return query.to_pattern()
-    if isinstance(query, tuple):
-        return query
-    raise QueryError(f"cannot interpret {type(query).__name__} as a tree pattern")
-
-
-class SketchTree:  # sketchlint: single-writer
+class SketchTree(Queries):  # sketchlint: single-writer
     """The streaming synopsis for approximate tree pattern counts.
 
     >>> st = SketchTree(SketchTreeConfig(s1=30, s2=5, max_pattern_edges=3,
@@ -110,9 +85,11 @@ class SketchTree:  # sketchlint: single-writer
     additions (AMS linearity) — there is no invalid intermediate state
     to observe.  The internally locked components (the pattern encoder,
     per-stream top-k trackers, metrics) stay consistent on their own.
-    Cross-thread *combination* happens only through :meth:`merge` over
-    quiesced shards, or through snapshots.  See docs/concurrency.md for
-    the full model; sketchlint's SKL2xx phase enforces the declarations.
+    Cross-thread *combination* happens through a
+    :class:`~repro.core.view.CounterView` (summed reads, same racy-benign
+    semantics), :meth:`merge` over quiesced shards, or snapshots.  See
+    docs/concurrency.md for the full model; sketchlint's SKL2xx phase
+    enforces the declarations.
     """
 
     def __init__(
@@ -175,7 +152,6 @@ class SketchTree:  # sketchlint: single-writer
         if not obs.enabled:
             return
         streams = self._streams
-        encoder = self._encoder
         obs.gauge(
             "virtual_streams_allocated",
             help="virtual streams that received at least one value",
@@ -195,17 +171,17 @@ class SketchTree:  # sketchlint: single-writer
         obs.counter(
             "encoder_cache_hits_total",
             help="pattern encodings served from the LRU memo",
-            fn=lambda: encoder.cache_hits,
+            fn=lambda: self._encoder.cache_hits,
         )
         obs.counter(
             "encoder_cache_misses_total",
             help="pattern encodings computed (LRU misses)",
-            fn=lambda: encoder.cache_misses,
+            fn=lambda: self._encoder.cache_misses,
         )
         obs.gauge(
             "encoder_cache_size",
             help="distinct patterns currently memoised",
-            fn=lambda: encoder.cache_size,
+            fn=lambda: self._encoder.cache_size,
         )
         enum_memo = self._enum_memo
         obs.counter(
@@ -543,195 +519,13 @@ class SketchTree:  # sketchlint: single-writer
     # ------------------------------------------------------------------
     # Query side
     # ------------------------------------------------------------------
-    def estimate_ordered(self, query) -> float:
-        """Approximate ``COUNT_ord(Q)`` (Theorem 1 estimator)."""
-        pattern = self._checked(query)
-        value = self._encoder.encode(pattern)
-        view = self._view_for([value])
-        return view.estimate(value)
+    def view(self) -> CounterView:
+        """This synopsis' counters as a :class:`~repro.core.view.CounterView`.
 
-    def estimate_ordered_interval(self, query, confidence: float = 0.9):
-        """``COUNT_ord(Q)`` with a self-reported Chebyshev error bar.
-
-        The half-width comes from Theorem 1's variance bound with the
-        *residual* self-join size of the query's virtual stream, which
-        the sketch estimates about itself (AMS's original F2 purpose) —
-        no extra state, conservative by construction.  See
-        :mod:`repro.core.intervals`.
+        The view hands back this synopsis' own matrices, uncopied; every
+        ``estimate_*`` method reads through it.
         """
-        from repro.core.intervals import Interval, chebyshev_half_width
-
-        pattern = self._checked(query)
-        value = self._encoder.encode(pattern)
-        residue = self._streams.residue(value)
-        matrix = self._streams.sketch_if_allocated(residue)
-        if matrix is None:
-            return Interval(0.0, 0.0, confidence, 0.0)
-        tracker = (
-            self._streams.tracker(residue) if self.config.topk_size else None
-        )
-        adjust = tracker.adjustment([value]) if tracker else None
-        estimate = matrix.estimate(value, adjust=adjust)
-        # The residual stream (top-k mass deleted) drives the noise.
-        self_join = max(0.0, matrix.estimate_self_join_size())
-        half_width = chebyshev_half_width(self_join, self.config.s1, confidence)
-        return Interval(estimate, half_width, confidence, self_join)
-
-    def estimate_self_join_size(self) -> float:
-        """Self-reported residual ``SJ(S) = Σ_r SJ(S_r)`` across streams.
-
-        "Residual" because top-k-deleted mass is excluded — which is
-        exactly the quantity Theorem 1's error bound depends on after the
-        Section 5.2 optimisation.
-        """
-        total = 0.0
-        for _, matrix in self._streams.iter_sketches():
-            total += max(0.0, matrix.estimate_self_join_size())
-        return total
-
-    def estimate_unordered(self, query) -> float:
-        """Approximate ``COUNT(Q)``: the Section 3.3 sum over the distinct
-        ordered arrangements of the pattern."""
-        pattern = self._checked(query)
-        return self._estimate_distinct_sum(
-            [self._encoder.encode(p) for p in arrangements(pattern)]
-        )
-
-    def estimate_sum(self, queries: Iterable) -> float:
-        """Approximate ``Σ_j COUNT_ord(Q_j)`` for distinct patterns
-        (Theorem 2 estimator — a single combined sketch product, not a sum
-        of per-pattern estimates)."""
-        patterns = [self._checked(q) for q in queries]
-        distinct = list(dict.fromkeys(patterns))
-        if len(distinct) != len(patterns):
-            raise QueryError(
-                "estimate_sum requires distinct patterns (Theorem 2); "
-                "duplicates were passed"
-            )
-        return self._estimate_distinct_sum(
-            [self._encoder.encode(p) for p in distinct]
-        )
-
-    def estimate_or(self, query) -> float:
-        """Approximate the count of a pattern with ``|`` OR-predicates in
-        its labels (paper Example 5): the sum over the expanded distinct
-        patterns."""
-        from repro.query.pattern import expand_or_labels
-
-        pattern = coerce_pattern(query)
-        expanded = expand_or_labels(pattern)
-        for p in expanded:
-            self._check_size(p)
-        return self._estimate_distinct_sum(
-            [self._encoder.encode(p) for p in expanded]
-        )
-
-    def estimate_expression(self, expression: Expression) -> float:
-        """Approximate a Section 4 query expression (``+``, ``−``, ``×``).
-
-        Accepts an :class:`~repro.core.expressions.Expression` or a
-        string such as ``"COUNT(A/B) * COUNT(A/C) - COUNT(B/C)"``
-        (parsed by :func:`~repro.core.expressions.parse_expression`).
-        Raises :class:`~repro.errors.ConfigError` when the configured ξ
-        independence is below the expression's requirement
-        (:func:`~repro.core.expressions.required_independence`).
-        """
-        if isinstance(expression, str):
-            from repro.core.expressions import parse_expression
-
-            expression = parse_expression(expression)
-        needed = required_independence(expression)
-        if self.config.independence < needed:
-            raise ConfigError(
-                f"expression needs {needed}-wise independent xi; synopsis was "
-                f"built with independence={self.config.independence}"
-            )
-        terms = expression.expand()
-        atoms = expression.atoms()
-        for atom in atoms:
-            self._check_size(atom)
-        atom_values = {atom: self._encoder.encode(atom) for atom in atoms}
-        view = self._view_for(list(atom_values.values()))
-        counters = view.counters.astype(np.float64)
-        z = np.zeros_like(counters)
-        from math import factorial
-
-        for coeff, term_atoms in terms:
-            degree = len(term_atoms)
-            xi_prod = view.xi.xi_values(
-                [atom_values[a] for a in term_atoms]
-            ).prod(axis=1)
-            z += coeff * (counters**degree) / factorial(degree) * xi_prod
-        return view.boost(z)
-
-    def estimate_extended(
-        self, query: QueryNode, summary: StructuralSummary | None = None
-    ) -> float:
-        """Approximate the count of a ``*`` / ``//`` query (Section 6.2).
-
-        Resolves the query against the structural summary (the synopsis'
-        own when built with ``maintain_summary=True``, or one supplied by
-        the caller) into distinct parent-child patterns and estimates
-        their total frequency.
-        """
-        summary = summary if summary is not None else self.summary
-        if summary is None:
-            raise QueryError(
-                "extended queries need a structural summary: construct the "
-                "synopsis with maintain_summary=True or pass one explicitly"
-            )
-        resolved = summary.resolve(query, max_edges=self.config.max_pattern_edges)
-        if not resolved:
-            return 0.0
-        return self._estimate_distinct_sum(
-            [self._encoder.encode(p) for p in resolved]
-        )
-
-    def estimate_xpath(self, text: str) -> float:
-        """Approximate the count of an XPath-subset query.
-
-        Parses ``text`` with :func:`repro.query.xpath.parse_xpath` and
-        dispatches: plain paths (names and predicates only) go through
-        the ordered estimator (with OR-label expansion, Example 5);
-        queries using ``*`` or ``//`` go through the Section 6.2
-        resolution and therefore need a structural summary.
-
-        Remember the paper's semantic note: this is the *pattern
-        occurrence* count, not XPath's target-node count.
-        """
-        from repro.query.xpath import parse_xpath
-
-        query = parse_xpath(text)
-        if not query.is_plain():
-            return self.estimate_extended(query)
-        pattern = query.to_pattern()
-        if _any_label_has_or(pattern):
-            return self.estimate_or(pattern)
-        return self.estimate_ordered(pattern)
-
-    def _estimate_distinct_sum(self, values: list[int]) -> float:
-        if not values:
-            return 0.0
-        return self._streams.estimate_sum_grouped(values)
-
-    def _view_for(self, values: list[int]) -> SketchMatrix:
-        residues = [self._streams.residue(v) for v in values]
-        return self._streams.view(residues, values)
-
-    def _checked(self, query) -> Nested:
-        pattern = coerce_pattern(query)
-        self._check_size(pattern)
-        return pattern
-
-    def _check_size(self, pattern: Nested) -> None:
-        validate_pattern(pattern)
-        edges = pattern_edges(pattern)
-        if edges < 1 or edges > self.config.max_pattern_edges:
-            raise QueryError(
-                f"pattern has {edges} edges; this synopsis counts patterns "
-                f"with 1..{self.config.max_pattern_edges} edges "
-                f"(larger patterns are the paper's stated future work)"
-            )
+        return CounterView((self,))
 
     # ------------------------------------------------------------------
     # Introspection / persistence
@@ -761,25 +555,6 @@ class SketchTree:  # sketchlint: single-writer
         for _, tracker in self._tracker_items():
             total.update(tracker.tracked)
         return total
-
-    def tracked_patterns(self, limit: int | None = None) -> list[dict]:
-        """The synopsis' tracked patterns, most frequent first.
-
-        Each entry carries the encoded ``value``, the tracked
-        ``frequency``, and the decoded ``pattern`` nested tuple when the
-        encoder still memoises it (``None`` after LRU eviction, or on a
-        merged synopsis whose fresh encoder never saw the stream — the
-        value is still servable, just nameless; callers with access to
-        the ingesting encoders can re-resolve).
-        """
-        ranked = sorted(self.tracked().items(), key=lambda kv: (-kv[1], kv[0]))
-        if limit is not None:
-            ranked = ranked[:limit]
-        names = self._encoder.lookup_values([value for value, _ in ranked])
-        return [
-            {"value": value, "frequency": freq, "pattern": names.get(value)}
-            for value, freq in ranked
-        ]
 
     def deleted_self_join_mass(self) -> int:
         """``Σ f_v²`` over tracked values across streams — the self-join
@@ -816,9 +591,25 @@ class SketchTree:  # sketchlint: single-writer
         """The pattern → value encoder (shared with analyses)."""
         return self._encoder
 
+    def empty_like(self) -> "SketchTree":
+        """An empty synopsis with this one's config and pattern encoder.
+
+        The two compose (:func:`~repro.core.view.check_composable`):
+        under ``mapping="pairing"`` only synopses sharing one encoder
+        map a pattern to the same value.
+        """
+        twin = type(self)(self.config)
+        twin._encoder = self._encoder
+        return twin
+
     def merge(self, other: "SketchTree") -> "SketchTree":
         """Merge another synopsis built with the *same config and seed*
         over a disjoint sub-stream (distributed-ingest scenario).
+
+        The result shares this synopsis' encoder; pairing-encoded
+        operands must share one (:class:`~repro.errors.ConfigError`
+        otherwise), since each pairing encoder numbers labels in
+        first-seen order.
 
         This is the cross-thread combination point of the serving tier:
         each shard's ingest thread owns its synopsis; a query/admin
@@ -838,9 +629,8 @@ class SketchTree:  # sketchlint: single-writer
         the unfold is applied to the merged copy via each source's fold
         vector rather than by calling ``unfold()`` on live trackers.
         """
-        if other.config != self.config:
-            raise ConfigError("can only merge synopses with identical configs")
-        merged = SketchTree(self.config)
+        check_composable(self, other)
+        merged = self.empty_like()
         for source in (self, other):
             for residue, matrix in source._streams.iter_sketches():
                 merged._streams.sketch(residue).counters += matrix.counters
@@ -887,63 +677,11 @@ class SketchTree:  # sketchlint: single-writer
         """Restore a synopsis serialised with :meth:`to_bytes`.
 
         Raises a typed :class:`~repro.errors.SnapshotError` for corrupt,
-        truncated, or version-mismatched blobs.  Pre-1.1 pickle blobs are
-        not accepted here; use :meth:`from_legacy_pickle` (deprecated).
+        truncated, or version-mismatched blobs.
         """
         from repro.core.snapshot import snapshot_from_bytes
 
         return snapshot_from_bytes(blob)
-
-    @classmethod
-    def from_legacy_pickle(cls, blob: bytes) -> "SketchTree":
-        """Restore a pre-1.1 pickle snapshot (deprecated, one release).
-
-        .. deprecated:: 1.1
-            The pickle format is unversioned, executes arbitrary code on
-            load, and never carried the structural summary.  Re-save with
-            :meth:`to_bytes` immediately; this loader will be removed in
-            the next release.
-
-        Only load blobs you produced yourself — this calls
-        :func:`pickle.loads`.
-        """
-        import pickle  # noqa: PLC0415 — quarantined to the legacy loader
-        import warnings
-
-        warnings.warn(
-            "SketchTree.from_legacy_pickle is deprecated; re-save this "
-            "synopsis with to_bytes() (versioned pickle-free snapshots)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro.errors import SnapshotFormatError
-
-        try:
-            state = pickle.loads(blob)
-        except Exception as exc:
-            raise SnapshotFormatError(
-                f"blob is not a legacy pickle snapshot: {exc}"
-            ) from exc
-        if not isinstance(state, dict) or not {
-            "config",
-            "n_trees",
-            "n_values",
-            "sketches",
-            "trackers",
-        } <= state.keys():
-            raise SnapshotFormatError(
-                "legacy pickle snapshot is missing required entries"
-            )
-        synopsis = cls(state["config"])
-        synopsis.n_trees = state["n_trees"]
-        synopsis.n_values = state["n_values"]
-        for residue, counters in state["sketches"].items():
-            synopsis._streams.set_counters(residue, counters)
-        for residue, tracked in state["trackers"].items():
-            tracker = synopsis._streams.tracker(residue)
-            if tracker is not None:
-                tracker.restore(tracked)
-        return synopsis
 
     def __repr__(self) -> str:
         return (

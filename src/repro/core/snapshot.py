@@ -31,8 +31,7 @@ instead of restoring garbage that would answer queries wrongly.
 Version policy: ``FORMAT_VERSION`` is bumped on any incompatible layout
 change; a loader accepts exactly the versions it knows how to restore
 bit-faithfully and raises :class:`~repro.errors.SnapshotVersionError`
-otherwise.  Pre-versioned pickle blobs are handled only by the guarded
-:meth:`SketchTree.from_legacy_pickle` loader (deprecated, one release).
+otherwise.
 
 Window container format (version 1)
 -----------------------------------
@@ -206,13 +205,7 @@ def snapshot_to_bytes(synopsis: SketchTree) -> bytes:
 def _split_blob(blob: bytes) -> tuple[dict[str, Any], bytes]:
     """Validate framing and return (header, payload) or raise typed errors."""
     if not blob.startswith(MAGIC[: min(len(blob), len(MAGIC))]) or not blob:
-        hint = ""
-        if blob[:1] == b"\x80":
-            hint = (
-                "; this looks like a legacy pickle snapshot — load it with "
-                "SketchTree.from_legacy_pickle"
-            )
-        raise SnapshotFormatError(f"not a SketchTree snapshot (bad magic){hint}")
+        raise SnapshotFormatError("not a SketchTree snapshot (bad magic)")
     if len(blob) < _PREFIX_LEN:
         raise SnapshotIntegrityError(
             f"snapshot truncated inside the {_PREFIX_LEN}-byte prefix"
@@ -595,6 +588,8 @@ def window_from_bytes(blob: bytes) -> "WindowedSketchTree":
             f"window snapshot n_trees_seen={header['n_trees_seen']} is "
             f"smaller than the {covered} trees its buckets cover"
         )
+    for bucket in buckets[:-1]:
+        bucket._encoder = current.encoder  # a window's buckets share one
     window._complete = deque(buckets[:-1])
     window._current = current
     window.n_trees_seen = header["n_trees_seen"]

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from repro.core.topk import TopKTracker, refold
+from repro.core.view import CounterReads
 
 if TYPE_CHECKING:
     from repro.core.batch import EncodedBatch
@@ -51,14 +52,15 @@ def next_prime(n: int) -> int:
     return candidate
 
 
-class VirtualStreams:  # sketchlint: single-writer
+class VirtualStreams(CounterReads):  # sketchlint: single-writer
     """``p`` lazily-allocated per-residue sketch matrices + top-k trackers.
 
     Single-writer: the owning shard's ingest thread performs all
     allocation and counter mutation; query threads only combine already
-    allocated counters (see docs/concurrency.md).  :meth:`tracker` is
-    deliberately non-allocating so the query path never mutates the
-    stream table.
+    allocated counters (see docs/concurrency.md) through the
+    :class:`~repro.core.view.CounterReads` methods, which this class
+    shares with summed views.  :meth:`tracker` is deliberately
+    non-allocating so the query path never mutates the stream table.
 
     Parameters
     ----------
@@ -282,78 +284,12 @@ class VirtualStreams:  # sketchlint: single-writer
         self._trackers[residue] = tracker
         return tracker
 
-    # ------------------------------------------------------------------
-    # Query-side combination
-    # ------------------------------------------------------------------
-    def combined_counters(self, residues: Iterable[int]) -> np.ndarray:
-        """Sum of the counters of the given streams (zeros when empty).
+    def adjustment(self, residue: int, values: list[int]) -> np.ndarray | None:
+        tracker = self._trackers.get(residue)
+        return tracker.adjustment(values) if tracker is not None else None
 
-        Valid because all streams share one ξ family: the sum sketches
-        the union of the streams.
-        """
-        total = np.zeros(self.s1 * self.s2, dtype=np.int64)
-        for residue in dict.fromkeys(residues):
-            matrix = self._sketches.get(residue)
-            if matrix is not None:
-                total += matrix.counters
-        return total
-
-    def combined_adjustment(self, values: Iterable[int]) -> np.ndarray | None:
-        """Top-k compensation ``Σ ξ_q f_q`` across all streams touched by
-        the query values (``None`` when nothing is tracked)."""
-        if not self.topk_size:
-            return None
-        by_residue: dict[int, list[int]] = {}
-        for value in dict.fromkeys(values):
-            by_residue.setdefault(self.residue(value), []).append(value)
-        total: np.ndarray | None = None
-        for residue, stream_values in by_residue.items():
-            tracker = self._trackers.get(residue)
-            if tracker is None:
-                continue
-            part = tracker.adjustment(stream_values)
-            if part is not None:
-                total = part if total is None else total + part
-        return total
-
-    def estimate_sum_grouped(self, values: Iterable[int]) -> float:
-        """Estimate ``Σ f_q`` by per-stream partial sums.
-
-        Query values are grouped by residue and each group is estimated
-        with *its own* stream's Theorem 2 estimator (top-k compensated);
-        the partial estimates are added.  This is never worse than summing
-        counters first: it keeps every estimate's variance bounded by its
-        own stream's (small) self-join size instead of the union's, while
-        remaining unbiased — a refinement the partitioning of Section 5.3
-        makes available for purely linear queries.
-
-        The float partials are added in residue order: callers often
-        pass values in ``set`` order, which varies with the process's
-        string-hash seed, and float addition is not associative.
-        """
-        by_residue: dict[int, list[int]] = {}
-        for value in dict.fromkeys(values):
-            by_residue.setdefault(self.residue(value), []).append(value)
-        total = 0.0
-        for residue in sorted(by_residue):
-            stream_values = by_residue[residue]
-            matrix = self._sketches.get(residue)
-            if matrix is None:
-                continue  # stream never received a value: exact zero
-            tracker = self._trackers.get(residue)
-            adjust = tracker.adjustment(stream_values) if tracker else None
-            total += matrix.estimate_sum(stream_values, adjust=adjust)
-        return total
-
-    def view(self, residues: Iterable[int], values: Iterable[int]) -> SketchMatrix:
-        """A temporary sketch over the union of streams, with top-k
-        compensation for the given query values already applied."""
-        combined = SketchMatrix(self.s1, self.s2, xi=self.xi)
-        combined.counters = self.combined_counters(residues)
-        adjust = self.combined_adjustment(values)
-        if adjust is not None:
-            combined.counters = combined.counters + adjust
-        return combined
+    #: The union-of-streams sketch, under the name query pipelines call.
+    view = CounterReads.combined
 
     # ------------------------------------------------------------------
     # Introspection

@@ -9,11 +9,13 @@ bucket compromise implemented here keeps memory bounded:
 
 * time is divided into *buckets* of ``bucket_trees`` consecutive trees;
 * each bucket holds its own :class:`~repro.core.sketchtree.SketchTree`
-  (sharing one configuration, and therefore one ξ family per seed);
+  (sharing one configuration, and therefore one ξ family per seed, and
+  one pattern encoder);
 * only the most recent ``n_buckets = ceil(window_trees / bucket_trees)``
   **complete** buckets plus the in-progress bucket are retained; older
   buckets are dropped whole;
-* a query sums the retained buckets' estimates — linearity again — so
+* a query reads the retained buckets' counters summed per virtual
+  stream (:class:`~repro.core.view.CounterView`) — linearity again — so
   the answered window is the last ``W′`` trees where
   ``window_trees ≤ W′ < window_trees + bucket_trees``; the exact
   boundary is quantised to a bucket, the usual accuracy/memory trade of
@@ -21,10 +23,10 @@ bucket compromise implemented here keeps memory bounded:
 
 Memory: ``(n_buckets + 1) ×`` one synopsis.  Virtual streams work
 unchanged.  Top-k tracking (Section 5.2) runs **per bucket**: each
-bucket's synopsis folds its own heavy hitters out of its counters, so
-per-bucket estimates stay compensated through the buckets' own
-trackers, and windowed queries keep the self-join-size reduction
-exactly where skew matters most (trending patterns).  On bucket expiry
+bucket's synopsis folds its own heavy hitters out of its counters, and
+each bucket's tracker compensates the queries for its own deletions, so
+windowed queries keep the self-join-size reduction exactly where skew
+matters most (trending patterns).  On bucket expiry
 the tracked state composes through the fold/unfold protocol of
 :mod:`repro.core.topk` (*merge-on-expiry*): the expiring bucket's
 tracker is unfolded — its counters are discarded anyway, but the
@@ -40,17 +42,15 @@ import threading
 from collections import deque
 from typing import Iterable
 
-import numpy as np
-
 from repro.core.config import SketchTreeConfig
 from repro.core.sketchtree import SketchTree
+from repro.core.view import CounterView, Queries
 from repro.errors import ConfigError
 from repro.obs.registry import Registry, get_default_registry
-from repro.sketch.ams import SketchMatrix
-from repro.trees.tree import LabeledTree, Nested
+from repro.trees.tree import LabeledTree
 
 
-class WindowedSketchTree:  # sketchlint: single-writer
+class WindowedSketchTree(Queries):  # sketchlint: single-writer
     """Approximate pattern counts over a sliding window of trees.
 
     Single-writer: one thread drives :meth:`update`/:meth:`update_batch`
@@ -144,7 +144,7 @@ class WindowedSketchTree:  # sketchlint: single-writer
         expired: list[SketchTree] = []
         with self._lock:
             self._complete.append(self._current)
-            self._current = SketchTree(self.config)
+            self._current = self._current.empty_like()
             while len(self._complete) > self.n_buckets:
                 expired.append(self._complete.popleft())
             successor = self._complete[0]
@@ -213,145 +213,10 @@ class WindowedSketchTree:  # sketchlint: single-writer
             buckets.append(current)
         return buckets
 
-    def estimate_ordered(self, query) -> float:
-        """Approximate ``COUNT_ord(Q)`` over the current window.
-
-        Per-bucket estimates are already top-k compensated through each
-        bucket's own trackers, so their sum is too.
-        """
-        return sum(b.estimate_ordered(query) for b in self._live_buckets())
-
-    def estimate_unordered(self, query) -> float:
-        """Approximate ``COUNT(Q)`` over the current window."""
-        return sum(b.estimate_unordered(query) for b in self._live_buckets())
-
-    def estimate_sum(self, queries: Iterable) -> float:
-        """Approximate a distinct-pattern sum over the current window.
-
-        ``queries`` is materialised once up front: every live bucket must
-        see the *same* pattern list, and a generator argument would be
-        exhausted by the first bucket (leaving the rest to contribute 0,
-        a silent undercount).
-        """
-        queries = list(queries)
-        return sum(b.estimate_sum(queries) for b in self._live_buckets())
-
-    def estimate_or(self, query) -> float:
-        """Approximate an OR-predicate pattern count over the window
-        (paper Example 5), summed across live buckets by linearity."""
-        return sum(b.estimate_or(query) for b in self._live_buckets())
-
-    def estimate_self_join_size(self) -> float:
-        """Residual self-join size of the *window's* sub-stream.
-
-        Computed over the live buckets' counters summed per stream
-        (:meth:`_combined_matrix`) — summing per-bucket
-        ``estimate_self_join_size`` instead would ignore cross-bucket
-        repetitions of a value (``SJ`` is quadratic in frequencies, which
-        add across buckets) and systematically undercount.  "Residual"
-        as in :meth:`SketchTree.estimate_self_join_size`: per-bucket
-        top-k-deleted mass stays deleted, which is the quantity the
-        Theorem 1 error bound depends on.
-        """
-        residues = set()
-        for bucket in self._live_buckets():
-            residues.update(r for r, _ in bucket.streams.iter_sketches())
-        total = 0.0
-        for residue in residues:
-            matrix = self._combined_matrix(residue)
-            if matrix is not None:
-                total += max(0.0, matrix.estimate_self_join_size())
-        return total
-
-    def estimate_ordered_interval(self, query, confidence: float = 0.9):
-        """``COUNT_ord(Q)`` over the window with a Chebyshev error bar.
-
-        Evaluated on the summed bucket counters: by AMS linearity those
-        *are* the counters a single synopsis over the window's trees
-        would hold, so both the point estimate and the self-reported
-        self-join size driving the half-width are exactly the
-        whole-stream quantities of :meth:`SketchTree.estimate_ordered_interval`.
-        (The centre is the merged-counter estimate, which can differ by
-        median nonlinearity from :meth:`estimate_ordered`'s per-bucket
-        sum; both are valid estimators of the same count.)  The point
-        estimate is compensated with every live bucket's per-bucket
-        :meth:`~repro.core.topk.TopKTracker.adjustment`; the half-width
-        stays on the *residual* (uncompensated) counters, which is what
-        Theorem 1's variance bound measures after the Section 5.2
-        optimisation.
-        """
-        from repro.core.intervals import Interval, chebyshev_half_width
-
-        pattern = self._current._checked(query)
-        value = self._current.encoder.encode(pattern)
-        residue = self._current.streams.residue(value)
-        matrix = self._combined_matrix(residue)
-        if matrix is None:
-            return Interval(0.0, 0.0, confidence, 0.0)
-        adjust = self._combined_adjustment(residue, [value])
-        estimate = matrix.estimate(value, adjust=adjust)
-        self_join = max(0.0, matrix.estimate_self_join_size())
-        half_width = chebyshev_half_width(self_join, self.config.s1, confidence)
-        return Interval(estimate, half_width, confidence, self_join)
-
-    def _combined_matrix(
-        self, residue: int, adjust_values: Iterable[int] | None = None
-    ) -> SketchMatrix | None:
-        """Stream ``residue``'s counters summed across live buckets, as a
-        fresh read-only :class:`~repro.sketch.ams.SketchMatrix` view.
-
-        Pure on bucket state (no ``merge()``, nothing mutated): every
-        bucket shares one ξ family per the window's single config/seed,
-        so summed counters are exactly the stream's counters over the
-        window's trees (linearity).  Returns ``None`` when no live
-        bucket ever routed a value to the stream (an exact zero).
-
-        ``adjust_values`` applies every live bucket's per-bucket top-k
-        :meth:`~repro.core.topk.TopKTracker.adjustment` for those query
-        values into the view — each bucket deleted its own tracked
-        occurrences, so the compensations add just like the counters do.
-        Leave it ``None`` for residual quantities (self-join size).
-        """
-        total = None
-        for bucket in self._live_buckets():
-            matrix = bucket.streams.sketch_if_allocated(residue)
-            if matrix is None:
-                continue
-            total = (
-                matrix.counters.copy() if total is None
-                else total + matrix.counters
-            )
-        if total is None:
-            return None
-        if adjust_values is not None:
-            adjust = self._combined_adjustment(residue, list(adjust_values))
-            if adjust is not None:
-                total = total + adjust
-        view = SketchMatrix(
-            self.config.s1, self.config.s2, xi=self._current.streams.xi
-        )
-        view.counters = total
-        return view
-
-    def _combined_adjustment(
-        self, residue: int, values: list[int]
-    ) -> np.ndarray | None:
-        """Summed per-bucket top-k compensation for stream ``residue``.
-
-        ``None`` when no live bucket tracks any of the queried values
-        (always, when ``topk_size=0``).
-        """
-        if not self.config.topk_size:
-            return None
-        total: np.ndarray | None = None
-        for bucket in self._live_buckets():
-            tracker = bucket.streams.tracker(residue)
-            if tracker is None:
-                continue
-            part = tracker.adjustment(values)
-            if part is not None:
-                total = part if total is None else total + part
-        return total
+    def view(self) -> CounterView:
+        """The live buckets' summed counters, which every ``estimate_*``
+        reads: with top-k off, they answer exactly as :meth:`merged`."""
+        return CounterView(self._live_buckets() or [self._current])
 
     def merged(self) -> SketchTree:
         """The live buckets collapsed into one fresh synopsis.
@@ -364,7 +229,7 @@ class WindowedSketchTree:  # sketchlint: single-writer
         The returned synopsis is a snapshot-in-time copy — later window
         updates do not flow into it.
         """
-        combined = SketchTree(self.config)
+        combined = self._current.empty_like()
         for bucket in self._live_buckets():
             combined = combined.merge(bucket)
         return combined
@@ -384,30 +249,6 @@ class WindowedSketchTree:  # sketchlint: single-writer
             for value, freq in bucket.tracked().items():
                 total[value] = total.get(value, 0) + freq
         return total
-
-    def tracked_patterns(self, limit: int | None = None) -> list[dict]:
-        """The window's tracked patterns, most frequent first.
-
-        Each entry carries the encoded ``value`` (as a decimal string —
-        pairing-mode values exceed JSON-safe integers), the summed
-        tracked ``frequency``, and the decoded ``pattern`` nested tuple
-        when any live bucket's encoder still memoises it (``None`` after
-        LRU eviction — the value is still servable, just nameless).
-        """
-        ranked = sorted(self.tracked().items(), key=lambda kv: (-kv[1], kv[0]))
-        if limit is not None:
-            ranked = ranked[:limit]
-        values = [value for value, _ in ranked]
-        names: dict[int, Nested] = {}
-        for bucket in self._live_buckets():
-            missing = [v for v in values if v not in names]
-            if not missing:
-                break
-            names.update(bucket.encoder.lookup_values(missing))
-        return [
-            {"value": value, "frequency": freq, "pattern": names.get(value)}
-            for value, freq in ranked
-        ]
 
     def deleted_self_join_mass(self) -> int:
         """``Σ f_v²`` over tracked values, summed across live buckets —

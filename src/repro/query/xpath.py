@@ -52,7 +52,9 @@ def parse_xpath(text: str) -> QueryNode:
     return query
 
 
-class _XPathParser:
+class _XPathParser:  # sketchlint: thread-confined
+    """One parser per :func:`parse_xpath` call; it never leaves that call."""
+
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0

@@ -16,16 +16,18 @@ Endpoints::
     GET  /window/topk[?limit=N]   the live window's trending patterns
     GET  /admin/topk[?limit=N]    quiesce + merge(): whole-stream top-k
     POST /ingest                  {"trees": ["(A (B))", ...]}
-    POST /estimate/<kind>         lock-free sum of per-shard estimates
+    POST /estimate/<kind>         lock-free: the shards' summed counters
     POST /window/estimate/<kind>  same, over the shards' sliding windows
-    POST /admin/estimate/<kind>   quiesce + merge(): the exact answer
+    POST /admin/estimate/<kind>   quiesce, then the same counter view
     POST /admin/drain             quiesce only (apply every queued batch)
     POST /admin/snapshot          quiesce + checkpoint every shard
 
-``<kind>`` is one of ``ordered``, ``unordered``, ``sum``, ``xpath``
-(window estimates: no ``xpath``).  The top-k and window surfaces need
-the service configured with ``--topk`` / ``--window-trees`` — without
-them those routes answer 409.
+``<kind>`` is one of ``ordered``, ``unordered``, ``sum``, ``xpath``, on
+all three estimate routes: each reads one
+:class:`~repro.core.view.CounterView`, so over quiesced shards the
+lock-free and admin answers are the same float.  The top-k and window
+surfaces need the service configured with ``--topk`` /
+``--window-trees`` — without them those routes answer 409.
 
 Error mapping (one place, for every route): :class:`ApiError` carries
 its own status; ``queue.Full`` is 503 backpressure with a

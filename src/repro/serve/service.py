@@ -5,18 +5,19 @@ the shard set and implements the three interaction patterns of the tier:
 
 * **Ingest** — round-robin routing of tree batches onto the shards'
   bounded queues (backpressure propagates as ``queue.Full``).
-* **Read path** — ``estimate_*`` sums the per-shard estimates with no
-  locks taken: shard synopses follow the single-writer contract, whose
-  racy-but-benign concurrent reads are exactly the AMS-linearity
-  argument of docs/concurrency.md.  A summed estimate is therefore an
-  estimate over *some* valid prefix of each shard's sub-stream.
-* **Admin path** — operations needing a serialisation point (exact
-  ``merge()`` queries, checkpoints, drain, shutdown) hold the *admin
+* **Read path** — one :class:`~repro.core.view.CounterView` over the
+  shard synopses (or over their windows' live buckets) sums their
+  counters per virtual stream with no locks taken, and one table maps a
+  validated kind to the view's estimator.  Shard synopses follow the
+  single-writer contract, whose racy-but-benign concurrent reads are
+  exactly the AMS-linearity argument of docs/concurrency.md: an answer
+  is an estimate over *some* valid prefix of each shard's sub-stream.
+* **Admin path** — operations needing a serialisation point (quiesced
+  estimates, ``merge()``, checkpoints, drain, shutdown) hold the *admin
   gate*, which new ingest submissions also take briefly: while an admin
   operation runs, ingress stalls, the queues drain to empty, and the
-  shard synopses are quiesced — making ``merge()`` sound per its
-  contract (bit-identical to one synopsis over the concatenated
-  stream).
+  shard synopses are quiesced — so the same view then answers
+  bit-identically to one synopsis over the concatenated stream.
 
 Health/readiness are *derived from the metrics registry's gauges* (not
 from privileged internal state): the service registers pull gauges for
@@ -28,10 +29,12 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
+from typing import Any, Callable
 
 from repro.core.config import SketchTreeConfig
 from repro.core.sketchtree import SketchTree
 from repro.core.snapshot import CheckpointManager
+from repro.core.view import CounterView
 from repro.core.window import WindowedSketchTree
 from repro.errors import ConfigError
 from repro.obs.registry import MetricsRegistry, Registry
@@ -56,8 +59,9 @@ class ShardedService:  # sketchlint: thread-safe
     ----------
     config:
         The one synopsis configuration every shard shares — the
-        ``merge()`` contract (same config and seed) is what makes both
-        summed estimates and exact-merge admin queries sound.
+        ``merge()`` contract (same config and seed) is what makes summed
+        counters sound.  ``mapping="pairing"`` is refused: each shard's
+        encoder numbers labels in its own first-seen order.
         ``topk_size > 0`` runs per-shard trackers freely: the fold/
         unfold protocol of :mod:`repro.core.topk` lets quiesce-and-merge
         compose them, and ``/admin/topk`` serves the merged heavy-hitter
@@ -108,6 +112,11 @@ class ShardedService:  # sketchlint: thread-safe
             raise ConfigError(f"window_trees must be >= 0, got {window_trees}")
         if resume and checkpoint_dir is None:
             raise ConfigError("resume=True needs a checkpoint_dir")
+        if config.mapping == "pairing":
+            raise ConfigError(
+                "shards encode independently, and pairing numbers labels in "
+                "each encoder's first-seen order: serve with mapping='rabin'"
+            )
         self.config = config
         self.metrics: Registry = (
             metrics if metrics is not None else MetricsRegistry()
@@ -392,36 +401,23 @@ class ShardedService:  # sketchlint: thread-safe
         return {"accepted": len(trees), "shard": index}
 
     # ------------------------------------------------------------------
-    # Read path (lock-free: sums of per-shard estimates)
+    # Read path (lock-free: one view over the shards' counters)
     # ------------------------------------------------------------------
-    def estimate_ordered(self, query: str) -> float:
-        return sum(s.synopsis.estimate_ordered(query) for s in self.shards)
+    def view(self) -> CounterView:
+        """Every shard synopsis' counters, summed per virtual stream.
 
-    def estimate_unordered(self, query: str) -> float:
-        return sum(s.synopsis.estimate_unordered(query) for s in self.shards)
-
-    def estimate_sum(self, queries: list[str]) -> float:
-        queries = list(queries)  # one materialised list for every shard
-        return sum(s.synopsis.estimate_sum(queries) for s in self.shards)
-
-    def estimate_xpath(self, query: str) -> float:
-        return sum(s.synopsis.estimate_xpath(query) for s in self.shards)
+        Lock-free: reads race the drain threads benignly, so an answer
+        is an estimate over some valid prefix of each shard's
+        sub-stream; over quiesced shards it is bit-identical to one
+        synopsis fed the whole stream (AMS linearity).
+        """
+        return CounterView([shard.synopsis for shard in self.shards])
 
     def estimate(self, kind: str, parsed: object) -> dict:
-        """Dispatch a validated ``/estimate/<kind>`` request."""
-        if kind == "sum":
-            estimate = self.estimate_sum(parsed)  # type: ignore[arg-type]
-        elif kind == "ordered":
-            estimate = self.estimate_ordered(parsed)  # type: ignore[arg-type]
-        elif kind == "unordered":
-            estimate = self.estimate_unordered(parsed)  # type: ignore[arg-type]
-        elif kind == "xpath":
-            estimate = self.estimate_xpath(parsed)  # type: ignore[arg-type]
-        else:  # pragma: no cover — parse_estimate_request rejects first
-            raise ApiError(f"unknown estimate kind {kind!r}", status=404)
+        """A validated ``/estimate/<kind>`` request, answered from :meth:`view`."""
         return {
             "kind": kind,
-            "estimate": estimate,
+            "estimate": _ESTIMATORS[kind](self.view(), parsed),
             "shards": len(self.shards),
             "n_trees": sum(s.synopsis.n_trees for s in self.shards),
         }
@@ -440,26 +436,13 @@ class ShardedService:  # sketchlint: thread-safe
         ]
 
     def window_estimate(self, kind: str, parsed: object) -> dict:
-        """A ``/window/estimate/<kind>`` request: the same lock-free
-        sum-of-shards read path as :meth:`estimate`, over the shards'
-        sliding windows instead of their whole-stream synopses."""
+        """A ``/window/estimate/<kind>`` request: the same estimators as
+        :meth:`estimate`, over every shard window's live buckets."""
         windows = self._windows()
-        if kind == "sum":
-            queries = list(parsed)  # type: ignore[call-overload]
-            estimate = sum(w.estimate_sum(queries) for w in windows)
-        elif kind == "ordered":
-            estimate = sum(w.estimate_ordered(parsed) for w in windows)
-        elif kind == "unordered":
-            estimate = sum(w.estimate_unordered(parsed) for w in windows)
-        else:
-            raise ApiError(
-                f"window estimates support ordered, unordered and sum, "
-                f"not {kind!r}",
-                status=404,
-            )
+        view = CounterView([b for w in windows for b in w.view().sources])
         return {
             "kind": kind,
-            "estimate": estimate,
+            "estimate": _ESTIMATORS[kind](view, parsed),
             "window_trees": self.window_trees,
             "trees_covered": sum(w.window_size_actual for w in windows),
         }
@@ -512,32 +495,24 @@ class ShardedService:  # sketchlint: thread-safe
         caller owns the returned copy, which no shard mutates later.
         """
         with self._gate:
-            return self._merge_quiesced()
+            self._quiesce()
+            merged = SketchTree(self.config)
+            for shard in self.shards:
+                merged = merged.merge(shard.synopsis)
+            return merged
 
     def admin_estimate(self, kind: str, parsed: object) -> dict:
-        """An exact-merge estimate: one answer over one merged synopsis.
-
-        Unlike the lock-free read path (sum of per-shard medians), this
-        is the estimate a single-node synopsis over the whole stream
-        would produce — the bit-identical reference for audits and
-        tests, at the cost of stalling ingest while it runs.
-        """
-        merged = self.merged_synopsis()
-        if kind == "sum":
-            estimate = merged.estimate_sum(parsed)
-        elif kind == "ordered":
-            estimate = merged.estimate_ordered(parsed)
-        elif kind == "unordered":
-            estimate = merged.estimate_unordered(parsed)
-        elif kind == "xpath":
-            estimate = merged.estimate_xpath(parsed)
-        else:
-            raise ApiError(f"unknown estimate kind {kind!r}", status=404)
+        """Quiesce, then answer from the same view as :meth:`estimate`:
+        bit-identical to one synopsis over the whole stream, at the cost
+        of stalling ingest while it runs."""
+        with self._gate:
+            self._quiesce()
+            estimate = _ESTIMATORS[kind](self.view(), parsed)
         return {
             "kind": kind,
             "estimate": estimate,
-            "merged": True,
-            "n_trees": merged.n_trees,
+            "quiesced": True,
+            "n_trees": sum(s.synopsis.n_trees for s in self.shards),
         }
 
     def topk(self, limit: int | None = None) -> dict:
@@ -577,8 +552,7 @@ class ShardedService:  # sketchlint: thread-safe
     def drain(self) -> dict:
         """Quiesce: stall ingress, wait until every queue is applied."""
         with self._gate:
-            for shard in self.shards:
-                shard.drain()
+            self._quiesce()
         return {"drained": True, "n_trees": sum(
             shard.synopsis.n_trees for shard in self.shards
         )}
@@ -591,17 +565,12 @@ class ShardedService:  # sketchlint: thread-safe
                 status=409,
             )
         with self._gate:
-            for shard in self.shards:
-                shard.drain()
+            self._quiesce()
             return self._checkpoint_quiesced()
 
-    def _merge_quiesced(self) -> SketchTree:  # sketchlint: guarded-by=_gate
+    def _quiesce(self) -> None:  # sketchlint: guarded-by=_gate
         for shard in self.shards:
             shard.drain()
-        merged = SketchTree(self.config)
-        for shard in self.shards:
-            merged = merged.merge(shard.synopsis)
-        return merged
 
     def _checkpoint_quiesced(self) -> list[Path]:  # sketchlint: guarded-by=_gate
         if not self.checkpoints:
@@ -619,5 +588,13 @@ class ShardedService:  # sketchlint: thread-safe
         )
 
 
-#: Re-exported for the API layer's dispatch table.
-assert set(ESTIMATE_KINDS) == {"ordered", "unordered", "sum", "xpath"}
+#: The one dispatch table: a ``<kind>`` validated by
+#: :func:`~repro.serve.models.parse_estimate_request` to the view's estimator.
+_ESTIMATORS: dict[str, Callable[[CounterView, Any], float]] = {
+    "ordered": CounterView.estimate_ordered,
+    "unordered": CounterView.estimate_unordered,
+    "sum": CounterView.estimate_sum,
+    "xpath": CounterView.estimate_xpath,
+}
+assert set(_ESTIMATORS) == set(ESTIMATE_KINDS)
+

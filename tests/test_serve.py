@@ -10,6 +10,7 @@ The suite boots real servers on ephemeral ports (``http.server`` in a
 background thread) — no sockets are mocked.
 """
 
+import dataclasses
 import json
 import queue
 import threading
@@ -32,6 +33,10 @@ from repro.serve.models import (
 from repro.serve.service import ShardedService
 from repro.serve.shards import IngestShard
 from repro.trees import from_sexpr
+
+from .estimate_kinds import CONFIG as KINDS_CONFIG
+from .estimate_kinds import HTTP_REQUESTS, KINDS
+from .estimate_kinds import STREAM as KINDS_STREAM
 
 CONFIG = SketchTreeConfig(
     s1=40, s2=5, max_pattern_edges=3, n_virtual_streams=31, seed=7
@@ -216,6 +221,11 @@ class TestShardedService:
         with pytest.raises(ConfigError):
             ShardedService(CONFIG, resume=True)
 
+    def test_rejects_pairing(self):
+        """Shards encode independently; pairing values would not add."""
+        with pytest.raises(ConfigError, match="pairing"):
+            ShardedService(dataclasses.replace(CONFIG, mapping="pairing"))
+
     def test_round_robin_covers_all_shards(self):
         service = ShardedService(CONFIG, n_shards=3)
         service.start()
@@ -313,19 +323,6 @@ class TestHttpIntegration:
             "/admin/estimate/sum", {"queries": QUERIES}
         )
         assert body["estimate"] == reference.estimate_sum(QUERIES)
-
-    def test_lockfree_estimates_sum_per_shard_answers(self, server):
-        app, client = server
-        client.post("/ingest", {"trees": STREAM})
-        client.post("/admin/drain", {})
-        expected = sum(
-            shard.synopsis.estimate_unordered("(A (B))")
-            for shard in app.service.shards
-        )
-        status, body = client.post(
-            "/estimate/unordered", {"query": "(A (B))"}
-        )
-        assert status == 200 and body["estimate"] == expected
 
     def test_xpath_estimates_serve(self, server):
         app, client = server
@@ -453,6 +450,55 @@ class TestHttpIntegration:
             urllib.request.urlopen(
                 f"http://127.0.0.1:{app.port}/healthz", timeout=2
             )
+
+
+@pytest.fixture(scope="class")
+def kinds_server():
+    """A quiesced 3-shard windowed server over the parity stream, and a
+    serial synopsis fed the same trees."""
+    service = ShardedService(
+        KINDS_CONFIG, n_shards=3, window_trees=40, bucket_trees=10
+    )
+    app = ServerApp(service, port=0)
+    app.start()
+    client = Client(app.port)
+    for start in range(0, len(KINDS_STREAM), 4):
+        client.post("/ingest", {"trees": KINDS_STREAM[start : start + 4]})
+    client.post("/admin/drain", {})
+    serial = SketchTree(KINDS_CONFIG)
+    serial.update_batch([from_sexpr(text) for text in KINDS_STREAM])
+    yield app, client, serial
+    app.request_stop()
+    app.shutdown()
+
+
+class TestOneReadPath:
+    """Every estimate reads one counter view, so over quiesced shards
+    the lock-free answer, the admin answer and a serial synopsis agree
+    bit for bit (``topk_size=0``)."""
+
+    @pytest.mark.parametrize("name", sorted(HTTP_REQUESTS))
+    def test_quiesced_estimates_match_admin_and_serial(self, kinds_server, name):
+        app, client, serial = kinds_server
+        kind, body = HTTP_REQUESTS[name]
+        status, lockfree = client.post(f"/estimate/{kind}", body)
+        assert status == 200, lockfree
+        status, admin = client.post(f"/admin/estimate/{kind}", body)
+        assert status == 200, admin
+        assert lockfree["estimate"] == admin["estimate"] == KINDS[name](serial)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_view_matches_merged_and_serial(self, kinds_server, kind):
+        app, _, serial = kinds_server
+        answer = KINDS[kind](app.service.view())
+        assert answer == KINDS[kind](app.service.merged_synopsis())
+        assert answer == KINDS[kind](serial)
+
+    def test_window_estimate_answers_xpath(self, kinds_server):
+        app, client, _ = kinds_server
+        for query in ["/A/B", "/A//C"]:
+            status, body = client.post("/window/estimate/xpath", {"query": query})
+            assert status == 200 and body["estimate"] > 0, body
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 Covers the format round trip (property-based), the typed rejection of
 corrupt / truncated / version-mismatched / misconfigured snapshots, the
 crash-safe :class:`CheckpointManager`, checkpoint-resume equivalence in
-:class:`StreamProcessor`, the summary-preserving merge fix, the guarded
-legacy pickle loader, and the canonical value-reduction regression for
-values at and beyond 2^31 - 1.
+:class:`StreamProcessor`, the summary-preserving merge fix, the
+rejection of pickle blobs, and the canonical value-reduction regression
+for values at and beyond 2^31 - 1.
 """
 
 import json
@@ -200,9 +200,9 @@ class TestRejection:
         with pytest.raises(SnapshotFormatError):
             snapshot_from_bytes(b"")
 
-    def test_pickle_blob_hints_at_legacy_loader(self):
+    def test_pickle_blob_is_rejected(self):
         blob = pickle.dumps({"anything": 1})
-        with pytest.raises(SnapshotFormatError, match="from_legacy_pickle"):
+        with pytest.raises(SnapshotFormatError, match="bad magic"):
             snapshot_from_bytes(blob)
 
     def test_truncation_rejected_everywhere(self):
@@ -600,52 +600,6 @@ class TestMergeFix:
         b = build(self.merge_config(False), STREAM[4:8])
         with pytest.raises(ConfigError):
             a.merge(b)
-
-
-class TestLegacyPickle:
-    def legacy_blob(self, synopsis):
-        state = {
-            "config": synopsis.config,
-            "n_trees": synopsis.n_trees,
-            "n_values": synopsis.n_values,
-            "sketches": {
-                residue: matrix.counters.copy()
-                for residue, matrix in synopsis.streams.iter_sketches()
-            },
-            "trackers": {
-                residue: tracker.snapshot()
-                for residue, tracker in synopsis.streams.iter_trackers()
-                if tracker.snapshot()
-            },
-        }
-        return pickle.dumps(state)
-
-    def test_loads_with_deprecation_warning(self):
-        # The pickle format predates the structural summary, so the
-        # round trip is exercised without one (to_bytes covers it).
-        config = SketchTreeConfig(
-            s1=12,
-            s2=3,
-            max_pattern_edges=2,
-            n_virtual_streams=13,
-            topk_size=3,
-            seed=5,
-        )
-        synopsis = build(config)
-        blob = self.legacy_blob(synopsis)
-        with pytest.warns(DeprecationWarning, match="to_bytes"):
-            restored = SketchTree.from_legacy_pickle(blob)
-        assert_same_state(synopsis, restored)
-
-    def test_rejects_garbage(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SnapshotFormatError):
-                SketchTree.from_legacy_pickle(b"\x80\x04 garbage")
-
-    def test_rejects_wrong_shape(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(SnapshotFormatError, match="missing"):
-                SketchTree.from_legacy_pickle(pickle.dumps({"config": BASE}))
 
 
 class TestNoPickleInSnapshotPath:

@@ -9,6 +9,10 @@ from repro.core import SketchTreeConfig, WindowedSketchTree
 from repro.errors import ConfigError
 from repro.trees import from_sexpr
 
+from .estimate_kinds import CONFIG as KINDS_CONFIG
+from .estimate_kinds import KINDS
+from .estimate_kinds import STREAM as KINDS_STREAM
+
 CONFIG = SketchTreeConfig(
     s1=50, s2=5, max_pattern_edges=2, n_virtual_streams=31, seed=6
 )
@@ -219,22 +223,22 @@ class TestReadPathParity:
         assert from_generator == from_list
         assert from_list != 0.0
 
-    def test_estimate_sum_generator_matches_per_bucket_sum(self):
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_every_kind_matches_merged(self, kind):
+        """Summed bucket counters are the merged synopsis' counters, so
+        every kind answers bit-identically (``topk_size=0``)."""
+        window = WindowedSketchTree(
+            KINDS_CONFIG, window_trees=40, bucket_trees=10
+        )
+        window.ingest([from_sexpr(text) for text in KINDS_STREAM])
+        assert window.n_live_buckets > 1
+        assert KINDS[kind](window) == KINDS[kind](window.merged())
+
+    def test_estimate_sum_generator_matches_merged(self):
         window = self.window()
         queries = ["(A (B))", "(E (E1))"]
-        expected = sum(
-            bucket.estimate_sum(queries) for bucket in window._live_buckets()
-        )
+        expected = window.merged().estimate_sum(queries)
         assert window.estimate_sum(iter(queries)) == expected
-
-    def test_estimate_or_delegates_to_live_buckets(self):
-        window = self.window()
-        query = "(A (B|C))"
-        expected = sum(
-            bucket.estimate_or(query) for bucket in window._live_buckets()
-        )
-        assert window.estimate_or(query) == expected
-        assert window.estimate_or(query) != 0.0
 
     def test_self_join_size_matches_merged_synopsis(self):
         """Summed-counter SJ, not sum of per-bucket SJs: frequencies add
@@ -278,3 +282,33 @@ class TestReadPathParity:
             assert merged.estimate_ordered(query) == reference.estimate_ordered(
                 query
             )
+
+
+class TestPairingWindow:
+    """Pairing numbers labels in first-seen order per encoder, so a
+    window's buckets share one encoder: otherwise a bucket that first
+    saw other labels would encode the same pattern differently."""
+
+    CONFIG = SketchTreeConfig(
+        s1=30, s2=5, max_pattern_edges=2, n_virtual_streams=31, seed=3,
+        mapping="pairing",
+    )
+
+    def test_every_read_gives_one_answer(self):
+        window = WindowedSketchTree(self.CONFIG, window_trees=40, bucket_trees=20)
+        window.ingest([from_sexpr("(A (B))")] * 20 + [from_sexpr("(X (Y))")] * 20)
+        assert window.n_live_buckets == 2
+        for query in ["(X (Y))", "(A (B))", "(Y (Z))"]:
+            ordered = window.estimate_ordered(query)
+            assert ordered == window.estimate_ordered_interval(query).estimate
+            assert ordered == window.merged().estimate_ordered(query)
+        assert window.estimate_ordered("(X (Y))") == pytest.approx(20, abs=2)
+
+    def test_buckets_share_one_encoder_across_rotations_and_restore(self):
+        window = WindowedSketchTree(self.CONFIG, window_trees=4, bucket_trees=2)
+        window.ingest([from_sexpr("(A (B))")] * 9)
+        restored = WindowedSketchTree.from_bytes(window.to_bytes())
+        for w in (window, restored):
+            buckets = w._live_buckets()
+            assert len(buckets) > 1
+            assert all(b.encoder is buckets[0].encoder for b in buckets)

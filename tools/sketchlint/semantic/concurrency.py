@@ -146,9 +146,15 @@ DEFAULT_CONFIG = ConcurrencyConfig(
         EntrypointGroup(
             "query",
             (
-                "repro.core.sketchtree.SketchTree.estimate_*",
+                # Synopses and windows inherit estimate_* and
+                # tracked_patterns from Queries, which reads their view();
+                # CounterView holds the estimator bodies.
+                "repro.core.view.Queries.estimate_*",
+                "repro.core.view.Queries.tracked*",
+                "repro.core.view.CounterView.*",
+                "repro.core.sketchtree.SketchTree.view",
                 "repro.core.sketchtree.SketchTree.tracked*",
-                "repro.core.window.WindowedSketchTree.estimate_*",
+                "repro.core.window.WindowedSketchTree.view",
                 "repro.core.window.WindowedSketchTree.tracked*",
             ),
             parallel=True,

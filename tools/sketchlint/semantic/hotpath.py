@@ -101,10 +101,12 @@ DEFAULT_CONFIG = HotPathConfig(
         "repro.core.sketchtree.SketchTree.update_from_patterns",
         "repro.core.sketchtree.SketchTree.delete_tree",
         "repro.core.sketchtree.SketchTree.ingest*",
-        "repro.core.sketchtree.SketchTree.estimate_*",
+        "repro.core.view.Queries.estimate_*",
+        "repro.core.view.CounterView.estimate_*",
+        "repro.core.sketchtree.SketchTree.view",
         "repro.core.window.WindowedSketchTree.update*",
         "repro.core.window.WindowedSketchTree.ingest",
-        "repro.core.window.WindowedSketchTree.estimate_*",
+        "repro.core.window.WindowedSketchTree.view",
         "repro.stream.engine.StreamProcessor.run",
         "repro.stream.engine.StreamProcessor.resume",
         "repro.enumtree.enumerate.collect_forest_patterns",

@@ -392,13 +392,32 @@ class ProjectModel:
     def lookup_method(
         self, base_types: frozenset[str], name: str
     ) -> list[FunctionInfo]:
-        """Methods named ``name`` on any of the candidate classes."""
+        """Methods named ``name`` on any of the candidate classes, or
+        inherited from their project-internal bases (depth first)."""
         found = []
         for cls_name in base_types:
-            cls_info = self.classes.get(cls_name)
-            if cls_info is not None and name in cls_info.methods:
-                found.append(cls_info.methods[name])
+            method = self._inherited(cls_name, name, set())
+            if method is not None:
+                found.append(method)
         return found
+
+    def _inherited(
+        self, cls_name: str, name: str, seen: set[str]
+    ) -> FunctionInfo | None:
+        cls_info = self.classes.get(cls_name)
+        if cls_info is None or cls_name in seen:
+            return None
+        seen.add(cls_name)
+        if name in cls_info.methods:
+            return cls_info.methods[name]
+        module = self.modules[cls_info.module]
+        for base in cls_info.node.bases:
+            dotted = dotted_name(base)
+            if dotted is not None:
+                method = self._inherited(self.resolve(module, dotted), name, seen)
+                if method is not None:
+                    return method
+        return None
 
 
 def _is_package(info: ModuleInfo) -> bool:
