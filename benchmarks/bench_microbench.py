@@ -7,7 +7,7 @@ units — to characterise the substrate:
 * EnumTree enumeration rate (patterns/second) on both dataset shapes;
 * extended Prüfer construction;
 * Rabin fingerprinting of pattern sequences;
-* ξ evaluation (both families) over a value batch;
+* ξ evaluation (both families' ``sign_rows`` kernels) over a value batch;
 * AMS batch updates and point estimates;
 * end-to-end ``SketchTree.update`` per tree.
 
@@ -83,13 +83,15 @@ def test_micro_rabin_encoding_batched(benchmark, sample_patterns):
     "family", ["polynomial", "bch"], ids=["xi-polynomial", "xi-bch"]
 )
 def test_micro_xi_batch(benchmark, family):
+    """Each family's ingest kernel: int8 ξ rows for a value batch."""
     if family == "polynomial":
         generator = XiGenerator(350, independence=4, seed=1)
     else:
         generator = BchXiGenerator(350, seed=1)
     values = np.arange(1024, dtype=np.int64) * 7919 % (1 << 31)
-    signs = benchmark(generator.xi_batch, values)
-    assert signs.shape == (350, 1024)
+    rows = benchmark(generator.sign_rows, values)
+    assert rows.shape == (1024, 350)
+    assert rows.dtype == np.int8
 
 
 def test_micro_ams_batch_update(benchmark):

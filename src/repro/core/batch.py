@@ -17,7 +17,7 @@ Columns
 
 ``values``
     Field-reduced encoded values (the ξ family's canonical domain, via
-    ``xi.to_field``), ready for :meth:`XiGenerator.xi_batch`.
+    ``xi.to_field``), ready for :meth:`XiGenerator.sign_rows`.
 ``counts``
     Signed occurrence counts (negative = deletion).
 ``residues``

@@ -204,6 +204,27 @@ class PatternEncoder:  # sketchlint: thread-safe
                         break
         return found
 
+    def label_numbering(self) -> list[str] | None:
+        """The pairing mapping's label numbering, in numbering order
+        (``None`` under Rabin, whose label hash is stateless).
+
+        Pairing numbers labels in first-seen order, so the values of a
+        synopsis' patterns hold only under the numbering it built;
+        snapshots carry it for :meth:`restore_label_numbering`.
+        """
+        with self._lock:
+            if self.mapping == "rabin":
+                return None
+            return self._labels.numbering()
+
+    def restore_label_numbering(self, labels: list[str]) -> None:
+        """Install a :meth:`label_numbering` into a pairing encoder that
+        has numbered no label yet (raises :class:`ConfigError` otherwise)."""
+        with self._lock:
+            if self.mapping == "rabin":
+                raise ConfigError("a Rabin encoder has no label numbering")
+            self._labels.renumber(labels)
+
     @property
     def cache_size(self) -> int:
         """Distinct patterns currently memoised (≤ ``cache_limit``)."""

@@ -57,12 +57,14 @@ from repro.trees.tree import LabeledTree, Nested
 #: ``coerce_pattern`` lives with the estimators in :mod:`repro.core.view`.
 __all__ = ["SketchTree", "coerce_pattern"]
 
-#: Rows per ξ window on the tracked ingest path: an int8 block this long
-#: takes the bytes of one ``(n_instances, _CHUNK)`` int64 block.
+#: Rows per ξ window on the tracked ingest path: the window's int8 block
+#: holds eight ``_CHUNK``-row blocks, one byte per instance and row
+#: (11 MiB at 350 instances).
 _WINDOW_ROWS = 8 * _CHUNK
 
 #: Accepted values per :meth:`VirtualStreams.track_rows` call: its int64
-#: rows, sums and stacked counters take an eighth of that block each.
+#: products and stacked counters take the bytes of one ``_CHUNK``-row
+#: int8 block each, and its int8 rows an eighth of that.
 _TRACK_ROWS = _CHUNK // 8
 
 
@@ -451,15 +453,16 @@ class SketchTree(Queries):  # sketchlint: single-writer
         that gets no block, and its update and tracking evaluate ξ per
         chunk instead.
 
-        Memory, in units of the ``(n_instances, _CHUNK)`` int64 bound
-        ``B`` of :meth:`~repro.sketch.ams.SketchMatrix.update_batch`:
-        the block and a tree's rows gathered from it take at most ``B``
-        each.  While a tree is applied, its deduplicated rows and the
-        int64 copy one stream's matmul makes of them add at most ``B``
-        each, so a tree that fills the window peaks near ``4B``, against
-        ``2B`` for the untracked path's ξ evaluation.  Tracking runs
-        ``_TRACK_ROWS`` values at a time, whose int64 copies stay under
-        ``B/2``.
+        Memory, in units of one ``(_CHUNK, n_instances)`` int8 row
+        block ``R`` (1.4 MiB at 350 instances; the untracked path peaks
+        near ``2R``: one block plus the kernel's uint64 tiles): the
+        window's block and a tree's rows gathered from it take at most
+        ``8R`` each, and while a tree is applied its deduplicated rows
+        add at most ``8R`` more — the per-stream sums read the int8
+        rows without an int64 copy — so a tree that fills the window
+        peaks near ``24R``.  Tracking runs ``_TRACK_ROWS`` values at a
+        time, whose int64 products and stacked counters add ``R``
+        each.
         """
         if not (track and self.config.topk_size and len(batch)):
             self._streams.update_batch(batch)
@@ -472,7 +475,7 @@ class SketchTree(Queries):  # sketchlint: single-writer
             block = index = None
             if hi - lo <= _WINDOW_ROWS:
                 distinct, index = np.unique(batch.values[lo:hi], return_inverse=True)
-                block = streams.sign_rows(distinct)
+                block = streams.xi.sign_rows(distinct)
             for start, stop in window:
                 segment = batch.segment(start, stop)
                 signs = None
@@ -507,13 +510,14 @@ class SketchTree(Queries):  # sketchlint: single-writer
         else:
             accepted = np.flatnonzero(self._rng.random(n) < probability)
         streams = self._streams
+        xi = streams.xi
         raw = np.array(segment.raw, dtype=object)  # exact ints, any width
         for lo in range(0, len(accepted), _TRACK_ROWS):
             rows = accepted[lo : lo + _TRACK_ROWS]
             streams.track_rows(
                 segment.residues[rows],
                 raw[rows],
-                streams.sign_rows(segment.values[rows]) if signs is None else signs[rows],
+                xi.sign_rows(segment.values[rows]) if signs is None else signs[rows],
             )
 
     # ------------------------------------------------------------------

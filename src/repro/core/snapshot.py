@@ -18,6 +18,11 @@ Format (version 1)
   fingerprint, top-k tracker state (values as decimal strings, so
   pairing-mode big integers survive), the structural summary trie, the
   tree/value counts, and the payload's size and SHA-256 checksum.
+  Pairing-mode snapshots also carry ``labels``, the encoder's label
+  numbering (labels in first-seen order): pairing values hold only under
+  the numbering that produced them, so a restore without it would number
+  query labels afresh and answer wrongly, and a pairing blob without it
+  is refused.
 * ``payload`` — an ``npz`` archive (``numpy.savez_compressed``, loaded
   with ``allow_pickle=False``) holding one int64 counter array per
   allocated virtual stream, named ``sketch_<residue>``.
@@ -187,6 +192,9 @@ def snapshot_to_bytes(synopsis: SketchTree) -> bytes:
         "payload_size": len(payload),
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
+    labels = synopsis.encoder.label_numbering()
+    if labels is not None:
+        header["labels"] = labels
     header_bytes = json.dumps(
         header, sort_keys=True, separators=(",", ":")
     ).encode("utf-8")
@@ -352,6 +360,30 @@ def _restore_summary(synopsis: SketchTree, header: dict[str, Any]) -> None:
         )
 
 
+def _restore_labels(synopsis: SketchTree, header: dict[str, Any]) -> None:
+    labels = header.get("labels")
+    if synopsis.config.mapping != "pairing":
+        if labels is not None:
+            raise SnapshotFormatError(
+                "snapshot carries a label numbering but its config uses "
+                f"mapping={synopsis.config.mapping!r}"
+            )
+        return
+    if labels is None:
+        raise SnapshotFormatError(
+            "pairing snapshot carries no label numbering — its query labels "
+            "would be numbered afresh and answer wrongly"
+        )
+    if not isinstance(labels, list):
+        raise SnapshotFormatError("snapshot label numbering must be a list")
+    try:
+        synopsis.encoder.restore_label_numbering(labels)
+    except ConfigError as exc:
+        raise SnapshotFormatError(
+            f"snapshot label numbering is invalid: {exc}"
+        ) from exc
+
+
 def snapshot_from_bytes(blob: bytes) -> SketchTree:
     """Restore a synopsis from :func:`snapshot_to_bytes` output.
 
@@ -368,6 +400,7 @@ def snapshot_from_bytes(blob: bytes) -> SketchTree:
             raise SnapshotFormatError(
                 f"snapshot {label} must be a non-negative integer, got {count!r}"
             )
+    _restore_labels(synopsis, header)
     _restore_counters(synopsis, payload)
     _restore_trackers(synopsis, header)
     _restore_summary(synopsis, header)
@@ -588,8 +621,18 @@ def window_from_bytes(blob: bytes) -> "WindowedSketchTree":
             f"window snapshot n_trees_seen={header['n_trees_seen']} is "
             f"smaller than the {covered} trees its buckets cover"
         )
-    for bucket in buckets[:-1]:
-        bucket._encoder = current.encoder  # a window's buckets share one
+    # A window's buckets share one encoder: the in-progress bucket's,
+    # restored from its label numbering.  Every bucket was written from
+    # that encoder, so each numbering must be a prefix of its own.
+    numbering = current.encoder.label_numbering() or []
+    for position, bucket in enumerate(buckets[:-1]):
+        own = bucket.encoder.label_numbering() or []
+        if own != numbering[: len(own)]:
+            raise SnapshotFormatError(
+                f"window snapshot bucket {position} numbers labels unlike "
+                "the in-progress bucket — they cannot share one encoder"
+            )
+        bucket._encoder = current.encoder
     window._complete = deque(buckets[:-1])
     window._current = current
     window.n_trees_seen = header["n_trees_seen"]

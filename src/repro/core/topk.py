@@ -178,7 +178,7 @@ class TopKTracker:  # sketchlint: thread-safe
         same decisions, same churn counts, same final counters — without
         evaluating ξ once per value.  With ``m`` arrivals:
 
-        * ``signs[j]`` is ``ξ(values[j])`` as an int64 ±1 row;
+        * ``signs[j]`` is ``ξ(values[j])`` as an int8 ±1 row;
         * ``sums[j][g]`` is the exact group sum
           ``S_g = Σ_{i∈g} ξ_i(values[j])·C[i]`` against the counters as
           they stand on entry;
@@ -229,7 +229,7 @@ class TopKTracker:  # sketchlint: thread-safe
                 change -= estimate
                 bound += estimate
             if change:
-                sketch.counters += change * signs[j]
+                sketch.counters += np.multiply(signs[j], change, dtype=np.int64)
                 live = True
             if evicted is not None:
                 # Only an insertion evicts, and it has set ``live``.

@@ -123,21 +123,6 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
     def sketch_if_allocated(self, residue: int) -> SketchMatrix | None:
         return self._sketches.get(residue)
 
-    def sign_rows(self, values: np.ndarray) -> np.ndarray:
-        """ξ of field values as an int8 ±1 block, one row per value.
-
-        Shape ``(len(values), n_instances)``: row ``i`` is
-        ``ξ(values[i])``, narrowed exactly from
-        :meth:`~repro.sketch.xi.XiGenerator.xi_batch`'s int64 signs.  ξ
-        is evaluated ``_CHUNK`` values at a time, so the int64
-        temporaries stay within :meth:`update_batch`'s bound, and the
-        block itself costs one byte per cell.
-        """
-        rows = np.empty((len(values), self.xi.n_instances), dtype=np.int8)
-        for lo in range(0, len(values), _CHUNK):
-            rows[lo : lo + _CHUNK] = self.xi.xi_batch(values[lo : lo + _CHUNK]).T
-        return rows
-
     def update_batch(
         self, batch: "EncodedBatch", signs: np.ndarray | None = None
     ) -> None:
@@ -149,18 +134,20 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
         collapsed into single rows with summed counts (ξ depends only on
         the field value, so ``c1·ξ(v) + c2·ξ(v) = (c1+c2)·ξ(v)`` exactly
         in int64, and real streams repeat values heavily), ξ is evaluated
-        once over the deduplicated rows in bounded-memory chunks (the
-        same ``(n_instances, chunk)`` peak as
-        :meth:`SketchMatrix.update_batch`), and each touched stream
-        receives one int64 matmul per chunk it appears in.  Counters are
-        exact int64 sums, so the result is bit-identical to per-value
-        updates in any order and grouping.
+        once over the deduplicated rows, ``_CHUNK`` values at a time, as
+        int8 rows (:meth:`~repro.sketch.xi.XiGenerator.sign_rows`, the
+        same bound as :meth:`SketchMatrix.update_batch`), and each
+        touched stream adds ``counts[g] @ rows[g]`` for its group ``g``
+        of every chunk it appears in
+        (:meth:`~repro.sketch.ams.SketchMatrix.apply_rows`, no int64 copy
+        of the rows).  Counters are exact int64 sums, so the result is
+        bit-identical to per-value updates in any order and grouping.
 
-        ``signs`` optionally carries the batch's ξ rows already evaluated
-        (:meth:`sign_rows` layout, one row per batch row); the top-k
-        path passes them so ξ is evaluated once per value for both the
-        update and Algorithm 4.  They stand in for the chunk's
-        ``xi_batch`` block; the per-stream matmuls are the same.
+        ``signs`` optionally carries the batch's int8 ξ rows already
+        evaluated (one row per batch row); the top-k path passes them so
+        ξ is evaluated once per value for both the update and
+        Algorithm 4.  They stand in for the chunk's ``sign_rows`` block;
+        the per-stream sums are the same.
         """
         n = len(batch)
         if n == 0:
@@ -191,14 +178,11 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
             edges[0] = 0
             edges[1:-1] = change
             edges[-1] = hi - lo
-            if rows is None:
-                block = xi.xi_batch(values[lo:hi])  # (n_instances, hi - lo)
-            else:
-                block = rows[lo:hi].T
+            block = xi.sign_rows(values[lo:hi]) if rows is None else rows[lo:hi]
             for g in range(len(edges) - 1):
                 first, stop = int(edges[g]), int(edges[g + 1])
-                sketch(int(chunk_residues[first])).counters += (
-                    block[:, first:stop] @ counts[lo + first : lo + stop]
+                sketch(int(chunk_residues[first])).apply_rows(
+                    counts[lo + first : lo + stop], block[first:stop]
                 )
 
     def track_rows(
@@ -229,14 +213,13 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
         counters = np.stack([tracker.sketch.counters for tracker in trackers])
         bound = max(int(counters.max()), -int(counters.min()))
         signs = signs[order]
-        rows = signs.astype(np.int64)
         sizes = [stop - start for start, stop in zip(starts, stops)]
         sums = counters.repeat(sizes, axis=0)
-        sums *= rows
+        sums *= signs
         sums = sums.reshape(m, self.s2, self.s1).sum(axis=2).tolist()
         values = raw[order].tolist()
         for tracker, lo, hi in zip(trackers, starts, stops):
-            tracker.process_block(values[lo:hi], rows[lo:hi], sums[lo:hi], bound)
+            tracker.process_block(values[lo:hi], signs[lo:hi], sums[lo:hi], bound)
 
     def set_counters(self, residue: int, counters: np.ndarray) -> None:
         """Install counters for stream ``residue`` (snapshot restore path).

@@ -63,6 +63,27 @@ class LabelHasher:  # sketchlint: thread-confined
             self._cache[label] = value
         return value
 
+    def numbering(self) -> list[str]:
+        """``"enumerate"`` mode's labels in the order they were numbered
+        (label ``i`` of the list maps to ``i``)."""
+        if self.mode != "enumerate":
+            raise ConfigError("only enumerate-mode labels carry a numbering")
+        return list(self._cache)
+
+    def renumber(self, labels: list[str]) -> None:
+        """Restore a :meth:`numbering` into a hasher that has numbered
+        nothing yet, so it maps every label as the one that wrote it."""
+        if self.mode != "enumerate":
+            raise ConfigError("only enumerate-mode labels carry a numbering")
+        if self._cache:
+            raise ConfigError("cannot renumber a hasher that has numbered labels")
+        if not all(isinstance(label, str) for label in labels):
+            raise ConfigError("a label numbering must list strings")
+        numbering = {label: index for index, label in enumerate(labels)}
+        if len(numbering) != len(labels):
+            raise ConfigError("a label numbering must not repeat a label")
+        self._cache = numbering
+
     @property
     def n_labels_seen(self) -> int:
         """How many distinct labels have been hashed so far."""

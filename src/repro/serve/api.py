@@ -84,6 +84,14 @@ class ApiHandler(BaseHTTPRequestHandler):  # sketchlint: thread-confined
 
     server: ServingHTTPServer
     protocol_version = "HTTP/1.1"
+    #: One send per response: the writer is buffered (``wbufsize = -1``),
+    #: ``handle_one_request`` flushes it after every request and
+    #: ``finish`` on close, and ``TCP_NODELAY`` sends the flush at once.
+    #: Headers and body in two sends would let Nagle hold the body until
+    #: the client's delayed ACK of the headers — about 40 ms on every
+    #: keep-alive request.
+    wbufsize = -1
+    disable_nagle_algorithm = True
     #: Quiet by default; ``repro.serve.app`` flips this for ``--verbose``.
     log_requests = False
 

@@ -34,7 +34,7 @@ if TYPE_CHECKING:
     from repro.core.batch import EncodedBatch
 
 #: Batch size for chunked ξ evaluation; bounds peak memory of an update to
-#: roughly ``n_instances × _CHUNK`` int64 cells.
+#: one ``(_CHUNK, n_instances)`` int8 row block plus the kernel's tiles.
 _CHUNK = 4096
 
 
@@ -133,10 +133,13 @@ class SketchMatrix:  # sketchlint: single-writer
         routing across virtual streams must group first
         (:meth:`~repro.core.virtual.VirtualStreams.update_batch`).
 
-        Memory bound: each chunk materialises one ``(n_instances,
-        _CHUNK)`` int64 ξ sign block, so peak extra memory is
-        ``s1 · s2 · _CHUNK · 8`` bytes — ≈ 11 MiB at the defaults
-        (``s1=50, s2=7, _CHUNK=4096``) — independent of batch length.
+        Memory bound: each chunk materialises one ``(_CHUNK,
+        n_instances)`` int8 ξ row block (:meth:`XiGenerator.sign_rows`,
+        one byte per cell) beside the kernel's two ``(256,
+        n_instances)`` uint64 tiles, and :meth:`apply_rows` adds them
+        without an int64 copy: peak extra memory is ``s1 · s2 · (_CHUNK
+        + 2 · 256 · 8)`` bytes — ≈ 2.7 MiB at the defaults (``s1=50,
+        s2=7, _CHUNK=4096``) — independent of batch length.
         """
         if not isinstance(values, np.ndarray) and hasattr(values, "residues"):
             # An EncodedBatch carrier (duck-typed to avoid a circular
@@ -154,10 +157,18 @@ class SketchMatrix:  # sketchlint: single-writer
         if len(values) != len(counts):
             raise ConfigError("values and counts must have equal length")
         for start in range(0, len(values), _CHUNK):
-            vs = values[start : start + _CHUNK]
-            cs = counts[start : start + _CHUNK]
-            signs = self.xi.xi_batch(vs)  # (n_instances, chunk)
-            self.counters += signs @ cs
+            rows = self.xi.sign_rows(values[start : start + _CHUNK])
+            self.apply_rows(counts[start : start + _CHUNK], rows)
+
+    def apply_rows(self, counts: np.ndarray, rows: np.ndarray) -> None:
+        """Add ``counts @ rows`` to the counters: ``counts[i]``
+        occurrences of the value whose int8 ξ row is ``rows[i]``.
+
+        ``np.einsum`` casts the int8 rows to int64 a buffer at a time,
+        where a ``@`` of mixed dtypes would first copy the whole block
+        to int64; the sum itself is the same exact int64 arithmetic.
+        """
+        self.counters += np.einsum("i,ij->j", counts, rows)
 
     def update_counts(self, counts_by_value: dict[int, int]) -> None:
         """Add a whole frequency table at once (order-independent)."""

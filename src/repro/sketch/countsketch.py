@@ -61,9 +61,9 @@ class CountSketch:
             vs = values[start : start + _CHUNK]
             cs = counts[start : start + _CHUNK]
             buckets = self._buckets(vs)  # (depth, chunk)
-            signs = self._sign.xi_batch(vs)  # (depth, chunk)
+            signs = self._sign.sign_rows(vs)  # (chunk, depth) int8
             for r in rows:  # scatter-add per row (buckets may repeat)
-                np.add.at(self.counters[r], buckets[r], signs[r] * cs)
+                np.add.at(self.counters[r], buckets[r], signs[:, r] * cs)
 
     def update_counts(self, counts_by_value: dict[int, int]) -> None:
         """Add a whole frequency table at once."""

@@ -551,7 +551,7 @@ class TestSignRows:
         raw = [0, 1, 5, 2**31 - 2, 2**40 + 3, 2**61 - 1]
         values = streams.xi.to_field(raw, count=len(raw))
         signs = streams.xi.xi_batch(values)
-        rows = streams.sign_rows(values)
+        rows = streams.xi.sign_rows(values)
         assert rows.dtype == np.int8
         for column, value in enumerate(raw):
             expected = streams.xi.xi(value)

@@ -12,10 +12,31 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.hashing.gf2 import gf2_mulmod, random_irreducible
 from repro.sketch import BchXiGenerator, SketchMatrix
+from repro.sketch.ams import _CHUNK
+from repro.sketch.xi import _TILE
+
+
+def parent_signs(gen: BchXiGenerator, values) -> np.ndarray:
+    """The family's int64 ``(n_instances, m)`` signs as evaluated before
+    its int8 kernel — two popcounts summed with ``s0`` — kept here as
+    the oracle for :meth:`BchXiGenerator.sign_rows`."""
+    mask = (1 << gen.m) - 1
+    reduced = np.asarray(values, dtype=np.int64) & mask
+    cubes = np.fromiter(
+        (gen._cube(int(v)) for v in reduced), dtype=np.int64, count=len(reduced)
+    )
+    bits = (
+        np.bitwise_count(gen._s1[:, None] & reduced[None, :])
+        + np.bitwise_count(gen._s2[:, None] & cubes[None, :])
+        + gen._s0[:, None]
+    ) & 1
+    return bits.astype(np.int64) * 2 - 1
 
 
 class TestBasics:
@@ -53,6 +74,30 @@ class TestBasics:
         assert abs((gen.xi(42) * gen.xi(43)).mean()) < 0.06
         product = gen.xi(1) * gen.xi(2) * gen.xi(3) * gen.xi(4)
         assert abs(product.mean()) < 0.06
+
+
+class TestSignRowsKernel:
+    """``sign_rows`` is bit-identical to the family's int64 signs."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        m=st.sampled_from([5, 31, 62]),
+        n_instances=st.sampled_from([1, 7, 350]),
+        length=st.sampled_from([0, 1, _TILE - 1, _TILE, _TILE + 1, _CHUNK + 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_parent_signs(self, m, n_instances, length, seed):
+        gen = BchXiGenerator(n_instances, m=m, seed=seed)
+        rng = np.random.default_rng(seed)
+        values = rng.integers(0, 2**63 - 1, size=length, dtype=np.int64, endpoint=True)
+        edges = [0, (1 << m) - 1, 1 << m, (1 << m) + 1, 2**63 - 1]
+        planted = min(length, len(edges))
+        values[rng.choice(length, size=planted, replace=False)] = edges[:planted]
+        rows = gen.sign_rows(values)
+        assert rows.dtype == np.int8
+        assert rows.shape == (length, n_instances)
+        np.testing.assert_array_equal(rows.T, parent_signs(gen, values))
+        np.testing.assert_array_equal(gen.xi_batch(values), rows.T)
 
 
 class TestExactFourwiseIndependence:

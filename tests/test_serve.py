@@ -11,9 +11,12 @@ background thread) — no sockets are mocked.
 """
 
 import dataclasses
+import http.client
 import json
 import queue
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -330,6 +333,27 @@ class TestHttpIntegration:
         client.post("/admin/drain", {})
         status, body = client.post("/estimate/xpath", {"query": "/A/B"})
         assert status == 200 and body["estimate"] > 0
+
+    def test_keepalive_round_trips_do_not_wait_for_delayed_acks(self, server):
+        # Headers and body in two sends with Nagle on stall each
+        # response on the client's delayed ACK (about 40 ms on Linux).
+        app, _ = server
+        connection = http.client.HTTPConnection("127.0.0.1", app.port, timeout=30)
+
+        def round_trip():
+            began = time.perf_counter()
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+            return time.perf_counter() - began
+
+        try:
+            round_trip()  # warm-up: connect, first request
+            elapsed = [round_trip() for _ in range(10)]
+        finally:
+            connection.close()
+        assert statistics.median(elapsed) < 0.020
 
     def test_health_ready_and_stats(self, server):
         app, client = server

@@ -678,3 +678,98 @@ class TestExtendedQueryNode:
         assert synopsis.estimate_extended(query) == pytest.approx(
             synopsis.estimate_xpath("/A/*")
         )
+
+
+class TestPairingLabelNumbering:
+    """Pairing values hold only under the label numbering that made
+    them, so snapshots carry it and restores install it."""
+
+    CONFIG = SketchTreeConfig(
+        s1=30, s2=5, max_pattern_edges=2, n_virtual_streams=31, seed=3,
+        mapping="pairing",
+    )
+    TREES = ["(A (B))"] * 20 + ["(X (Y))"] * 5
+
+    def test_restored_synopsis_answers_like_the_saved_one(self):
+        # Without the numbering the restore answered 20.0 for (X (Y))
+        # and 5.0 for (A (B)): the query's labels were numbered afresh.
+        synopsis = SketchTree(self.CONFIG)
+        synopsis.update_batch([from_sexpr(text) for text in self.TREES])
+        restored = SketchTree.from_bytes(synopsis.to_bytes())
+        numbering = synopsis.encoder.label_numbering()
+        assert sorted(numbering) == ["A", "B", "X", "Y"]
+        assert restored.encoder.label_numbering() == numbering
+        for query, count in [("(A (B))", 20), ("(X (Y))", 5)]:
+            estimate = restored.estimate_ordered(query)
+            assert estimate == synopsis.estimate_ordered(query)
+            assert estimate == pytest.approx(count, abs=1)
+
+    def test_window_buckets_restore_one_shared_numbering(self):
+        from repro.core.window import WindowedSketchTree
+
+        window = WindowedSketchTree(self.CONFIG, window_trees=40, bucket_trees=20)
+        window.ingest([from_sexpr(text) for text in self.TREES])
+        restored = WindowedSketchTree.from_bytes(window.to_bytes())
+        buckets = restored._live_buckets()
+        assert len(buckets) == 2
+        assert all(b.encoder is buckets[0].encoder for b in buckets)
+        for query in ["(A (B))", "(X (Y))"]:
+            assert restored.estimate_ordered(query) == window.estimate_ordered(query)
+
+    def test_window_buckets_numbering_labels_apart_are_refused(self):
+        import hashlib
+
+        from repro.core.snapshot import WINDOW_MAGIC, window_from_bytes
+        from repro.core.window import WindowedSketchTree
+
+        window = WindowedSketchTree(self.CONFIG, window_trees=40, bucket_trees=20)
+        window.ingest([from_sexpr(text) for text in self.TREES])
+        blob = window.to_bytes()
+        start = len(WINDOW_MAGIC) + 8
+        header_len = int.from_bytes(blob[len(WINDOW_MAGIC) : start], "big")
+        header = json.loads(blob[start : start + header_len])
+        payload, blobs = blob[start + header_len :], []
+        while payload:
+            length = int.from_bytes(payload[:8], "big")
+            blobs.append(payload[8 : 8 + length])
+            payload = payload[8 + length :]
+        # The complete bucket claims the in-progress bucket's labels in
+        # another order: the two cannot share one encoder.
+        blobs[0] = rewrite_header(
+            blobs[0], lambda h: h.__setitem__("labels", h["labels"][::-1])
+        )
+        payload = b"".join(len(b).to_bytes(8, "big") + b for b in blobs)
+        header["payload_size"] = len(payload)
+        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
+        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"))
+        tampered = (
+            WINDOW_MAGIC
+            + len(header_bytes).to_bytes(8, "big")
+            + header_bytes.encode()
+            + payload
+        )
+        with pytest.raises(SnapshotFormatError, match="numbers labels"):
+            window_from_bytes(tampered)
+
+    def test_blob_without_numbering_is_refused(self):
+        blob = SketchTree(self.CONFIG).to_bytes()
+        tampered = rewrite_header(blob, lambda h: h.pop("labels"))
+        with pytest.raises(SnapshotFormatError, match="label numbering"):
+            snapshot_from_bytes(tampered)
+
+    @pytest.mark.parametrize("labels", [["A", "A"], ["A", 3], "AB"])
+    def test_malformed_numbering_is_refused(self, labels):
+        blob = SketchTree(self.CONFIG).to_bytes()
+        tampered = rewrite_header(blob, lambda h: h.__setitem__("labels", labels))
+        with pytest.raises(SnapshotFormatError, match="label numbering"):
+            snapshot_from_bytes(tampered)
+
+    def test_rabin_blobs_carry_none_and_refuse_one(self):
+        blob = build().to_bytes()
+        header_len = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 8], "big")
+        header = json.loads(blob[len(MAGIC) + 8 : len(MAGIC) + 8 + header_len])
+        assert "labels" not in header
+        assert_same_state(build(), snapshot_from_bytes(blob))
+        tampered = rewrite_header(blob, lambda h: h.__setitem__("labels", ["A"]))
+        with pytest.raises(SnapshotFormatError, match="label numbering"):
+            snapshot_from_bytes(tampered)
