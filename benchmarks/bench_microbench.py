@@ -9,7 +9,10 @@ units — to characterise the substrate:
 * Rabin fingerprinting of pattern sequences;
 * ξ evaluation (both families' ``sign_rows`` kernels) over a value batch;
 * AMS batch updates and point estimates;
-* end-to-end ``SketchTree.update`` per tree.
+* end-to-end ``SketchTree.update`` per tree;
+* the query read path: ``*`` / ``//`` resolution against a structural
+  summary, s-expression pattern parsing, and one grouped Theorem 2
+  estimate.
 
 No paper claims here — these are the engineering numbers a downstream
 user would ask for.
@@ -23,7 +26,10 @@ from repro.core.encoding import PatternEncoder
 from repro.datasets import DblpGenerator, TreebankGenerator
 from repro.enumtree import enumerate_patterns
 from repro.prufer import prufer_of_nested
+from repro.query import StructuralSummary, parse_xpath
 from repro.sketch import BchXiGenerator, SketchMatrix, XiGenerator
+from repro.trees import to_sexpr
+from repro.trees.builders import pattern_from_sexpr
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +133,46 @@ def test_micro_sketchtree_update_batch(benchmark):
     trees = list(TreebankGenerator(seed=2).generate(16))
     benchmark(synopsis.update_batch, trees)
     assert synopsis.n_trees > 0
+
+
+@pytest.fixture(scope="module")
+def dblp_summary():
+    """The structural summary of 800 dblp trees (query-mix's stream size)."""
+    summary = StructuralSummary()
+    summary.add_trees(DblpGenerator(seed=1).generate(800))
+    return summary
+
+
+@pytest.mark.parametrize(
+    "xpath", ["*[author]/title", "article//author"], ids=["wildcard-root", "descendant"]
+)
+def test_micro_resolve(benchmark, dblp_summary, xpath):
+    """Indexed resolution: a ``*`` root anchors on its concrete child's
+    label, and ``//`` walks only the matched node's subtree."""
+    query = parse_xpath(xpath)
+    resolved = benchmark(dblp_summary.resolve, query, 4)
+    assert resolved
+
+
+def test_micro_pattern_from_sexpr(benchmark):
+    texts = [to_sexpr(tree) for tree in DblpGenerator(seed=3).generate(100)]
+
+    def parse_all():
+        return [pattern_from_sexpr(text) for text in texts]
+
+    patterns = benchmark(parse_all)
+    assert len(patterns) == len(texts)
+
+
+def test_micro_estimate_unordered(benchmark):
+    """One grouped Theorem 2 pass over an unordered pattern's
+    arrangements (six, spread over their residues)."""
+    config = SketchTreeConfig(
+        s1=50, s2=7, max_pattern_edges=4, n_virtual_streams=229, seed=1
+    )
+    synopsis = SketchTree(config)
+    synopsis.update_batch(list(DblpGenerator(seed=1).generate(200)))
+    estimate = benchmark(
+        synopsis.estimate_unordered, "(article (author) (title) (year))"
+    )
+    assert estimate > 0

@@ -230,5 +230,11 @@ class PatternEncoder:  # sketchlint: thread-safe
         """Distinct patterns currently memoised (≤ ``cache_limit``)."""
         return len(self._cache)
 
+    @property
+    def label_cache_size(self) -> int:
+        """Distinct labels the label hash currently memoises (bounded by
+        :data:`~repro.hashing.labels.RABIN_CACHE_LIMIT` under Rabin)."""
+        return self._labels.n_labels_seen
+
     def __repr__(self) -> str:
         return f"PatternEncoder(mapping={self.mapping!r}, cached={len(self._cache)})"

@@ -185,6 +185,11 @@ class SketchTree(Queries):  # sketchlint: single-writer
             help="distinct patterns currently memoised",
             fn=lambda: self._encoder.cache_size,
         )
+        obs.gauge(
+            "encoder_label_cache_size",
+            help="distinct labels currently memoised by the label hash",
+            fn=lambda: self._encoder.label_cache_size,
+        )
         enum_memo = self._enum_memo
         obs.counter(
             "enum_memo_hits_total",

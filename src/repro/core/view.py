@@ -15,6 +15,7 @@ pairing synopses compose only when they share one
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from math import factorial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -33,8 +34,8 @@ from repro.query.pattern import (
 )
 from repro.query.summary import QueryNode, StructuralSummary
 from repro.query.xpath import parse_xpath
-from repro.sketch.ams import SketchMatrix
-from repro.trees.builders import from_sexpr
+from repro.sketch.ams import _CHUNK, SketchMatrix, boost_rows
+from repro.trees.builders import pattern_from_sexpr
 from repro.trees.tree import LabeledTree, Nested
 
 if TYPE_CHECKING:
@@ -46,7 +47,7 @@ def coerce_pattern(query) -> Nested:
     """Accept a nested tuple, s-expression string, tree, or plain
     :class:`QueryNode`, and return the canonical nested-tuple pattern."""
     if isinstance(query, str):
-        return from_sexpr(query).to_nested()
+        return pattern_from_sexpr(query)
     if isinstance(query, LabeledTree):
         return query.to_nested()
     if isinstance(query, QueryNode):
@@ -164,17 +165,48 @@ class CounterReads:
         The float partials are added in residue order: callers often
         pass values in ``set`` order, which varies with the process's
         string-hash seed, and float addition is not associative.
+
+        All groups share one pass: the values' ξ rows come from
+        :meth:`~repro.sketch.xi.XiGenerator.sign_rows` (one call per
+        ``_CHUNK`` values), ``np.add.reduceat`` sums them per residue, and
+        one :func:`~repro.sketch.ams.boost_rows` runs over
+        the stacked, top-k compensated counters.  Each group's estimate
+        equals :meth:`~repro.sketch.ams.SketchMatrix.estimate_sum` on its
+        own stream bit for bit: the ξ sums and products are exact int64,
+        and so is every group sum below ``2^53``.
         """
         by_residue = self._by_residue(values)
-        total = 0.0
+        ordered: list[int] = []
+        offsets: list[int] = []  # where each group starts in ``ordered``
+        counters: list[np.ndarray] = []
         for residue in sorted(by_residue):
             matrix = self.sketch_if_allocated(residue)
             if matrix is None:
                 continue  # stream never received a value: exact zero
             stream_values = by_residue[residue]
             adjust = self.adjustment(residue, stream_values)
-            total += matrix.estimate_sum(stream_values, adjust=adjust)
-        return total
+            offsets.append(len(ordered))
+            ordered.extend(stream_values)
+            counters.append(
+                matrix.counters if adjust is None else matrix.counters + adjust
+            )
+        if not counters:
+            return 0.0
+        field = self.xi.to_field(ordered, count=len(ordered))
+        xi_sums = np.zeros((len(offsets), self.s1 * self.s2), dtype=np.int64)
+        for lo in range(0, len(field), _CHUNK):
+            rows = self.xi.sign_rows(field[lo : lo + _CHUNK])
+            # Groups first..last-1 overlap this chunk; the first may have
+            # begun in an earlier one.
+            first = bisect_right(offsets, lo) - 1
+            last = bisect_left(offsets, lo + len(rows))
+            starts = [max(offset - lo, 0) for offset in offsets[first:last]]
+            xi_sums[first:last] += np.add.reduceat(
+                rows, starts, axis=0, dtype=np.int64
+            )
+        partials = boost_rows(xi_sums * np.stack(counters), self.s1, self.s2)
+        # 0.0 + p_0 + p_1 + …, left to right: cumsum never reassociates.
+        return float(np.concatenate(([0.0], partials)).cumsum()[-1])
 
 
 class CounterView(CounterReads):

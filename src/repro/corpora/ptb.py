@@ -22,11 +22,11 @@ sentence is unwrapped.
 
 from __future__ import annotations
 
-import re
 from typing import Iterable, Iterator
 
 from repro.corpora.normalize import NormalizeOptions, normalize_node
 from repro.errors import CorpusParseError
+from repro.trees.builders import SEXPR_TOKEN
 from repro.trees.node import TreeNode
 from repro.trees.tree import LabeledTree
 
@@ -34,8 +34,6 @@ from repro.trees.tree import LabeledTree
 LPAREN = "("
 RPAREN = ")"
 STRING = "STRING"
-
-_TOKEN_PATTERN = re.compile(r"\(|\)|[^()\s]+")
 
 
 class Token:
@@ -56,7 +54,7 @@ class Token:
 def iter_tokens(lines: Iterable[str]) -> Iterator[Token]:
     """Tokenize lines into parens and label/terminal strings."""
     for lineno, line in enumerate(lines, start=1):
-        for match in _TOKEN_PATTERN.finditer(line):
+        for match in SEXPR_TOKEN.finditer(line):
             text = match.group()
             if text == "(":
                 yield Token(LPAREN, text, lineno, match.start() + 1)

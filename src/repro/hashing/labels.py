@@ -19,6 +19,11 @@ from repro.hashing.rabin import RabinFingerprint
 
 _MODES = ("rabin", "enumerate")
 
+#: Rabin-mode labels memoised before the cache is cleared.  The hash is
+#: stateless, so a flush costs recomputation, never a value, and an
+#: unbounded label alphabet cannot grow the cache without bound.
+RABIN_CACHE_LIMIT = 1 << 16
+
 
 class LabelHasher:  # sketchlint: thread-confined
     """Maps label strings to non-negative integers, deterministically.
@@ -53,11 +58,20 @@ class LabelHasher:  # sketchlint: thread-confined
         self._cache: dict[str, int] = {}
 
     def __call__(self, label: str) -> int:
-        """Integer for ``label`` (cached; stable for the hasher's lifetime)."""
+        """Integer for ``label`` (stable for the hasher's lifetime).
+
+        Enumerate mode keeps every label: its numbering is state.  Rabin
+        mode memoises at most :data:`RABIN_CACHE_LIMIT` labels, clearing
+        the cache when a new label would pass the bound, as
+        :class:`~repro.enumtree.enumerate.PatternTableMemo` flushes its
+        table.
+        """
         value = self._cache.get(label)
         if value is None:
             if self.mode == "rabin":
                 value = self._fingerprint.of_str(label)
+                if len(self._cache) >= RABIN_CACHE_LIMIT:
+                    self._cache.clear()
             else:
                 value = len(self._cache)
             self._cache[label] = value
@@ -86,7 +100,9 @@ class LabelHasher:  # sketchlint: thread-confined
 
     @property
     def n_labels_seen(self) -> int:
-        """How many distinct labels have been hashed so far."""
+        """Distinct labels currently cached: every label numbered so far
+        in enumerate mode, at most :data:`RABIN_CACHE_LIMIT` in Rabin
+        mode."""
         return len(self._cache)
 
     def __repr__(self) -> str:

@@ -11,7 +11,7 @@ from itertools import permutations
 from typing import Iterable
 
 from repro.errors import PatternError
-from repro.trees.builders import from_sexpr
+from repro.trees.builders import pattern_from_sexpr as pattern_from_sexpr
 from repro.trees.tree import Nested
 
 
@@ -49,12 +49,14 @@ def pattern_edges(pattern: Nested) -> int:
     return pattern_nodes(pattern) - 1
 
 
-def pattern_from_sexpr(text: str) -> Nested:
-    """Parse ``"(A (B) (C))"`` into a nested-tuple pattern."""
-    return from_sexpr(text).to_nested()
+#: Most distinct patterns one query may expand into: an unordered
+#: pattern's arrangements, or a ``*`` / ``//`` query's resolution.
+#: Theorem 2's variance bound grows with the number of summed patterns,
+#: so a larger sum is not a useful estimate.
+MAX_PATTERNS = 10_000
 
 
-def arrangements(pattern: Nested, limit: int | None = 10_000) -> set[Nested]:
+def arrangements(pattern: Nested, limit: int | None = MAX_PATTERNS) -> set[Nested]:
     """All *distinct* ordered arrangements of an unordered pattern.
 
     Section 3.3: ``COUNT(Q)`` is the sum of ``COUNT_ord`` over the
@@ -65,8 +67,9 @@ def arrangements(pattern: Nested, limit: int | None = 10_000) -> set[Nested]:
 
     The result size is bounded by the product of factorials of fanouts,
     so bushy asymmetric patterns explode combinatorially; ``limit``
-    (default 10,000) raises :class:`~repro.errors.PatternError` instead
-    of silently consuming memory.  Pass ``limit=None`` to disable.
+    (default :data:`MAX_PATTERNS`) raises
+    :class:`~repro.errors.PatternError` instead of silently consuming
+    memory.  Pass ``limit=None`` to disable.
     """
     validate_pattern(pattern)
     out = _arrangements(pattern, limit)

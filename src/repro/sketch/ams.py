@@ -38,6 +38,25 @@ if TYPE_CHECKING:
 _CHUNK = 4096
 
 
+def boost_rows(per_instance: np.ndarray, s1: int, s2: int) -> np.ndarray:
+    """:meth:`SketchMatrix._boost` of every row of an int64 ``(g, s1 · s2)``
+    array at once: a float64 array of ``g`` estimates.
+
+    Each group's mean is its exact int64 sum divided by ``s1``.  When
+    every group sum stays below ``2^53`` in magnitude, that is the mean
+    ``_boost`` forms in float64 (the argument of
+    :meth:`SketchMatrix.boost_sums`), and the sort and the middle pick
+    are the same float operations, so row ``i`` is bit-identical to
+    ``_boost(per_instance[i])``.
+    """
+    means = per_instance.reshape(len(per_instance), s2, s1).sum(axis=2) / s1
+    means.sort(axis=1)
+    middle = s2 >> 1
+    if s2 & 1:
+        return means[:, middle]
+    return (means[:, middle - 1] + means[:, middle]) / 2.0
+
+
 class AmsSketch:
     """A single AMS counter — one randomized linear projection.
 

@@ -11,6 +11,8 @@ Two interchange forms are supported:
 
 from __future__ import annotations
 
+import re
+
 from repro.errors import TreeError
 from repro.trees.node import TreeNode
 from repro.trees.tree import LabeledTree, Nested
@@ -56,61 +58,67 @@ def _split(nested: Nested | str) -> tuple[str, tuple]:
     raise TreeError(f"not a valid nested tree form: {nested!r}")
 
 
-def from_sexpr(text: str) -> LabeledTree:
-    """Parse an s-expression such as ``"(A (B) (C (D)))"`` into a tree.
+#: The s-expression lexer: parentheses, and labels running until
+#: whitespace or a parenthesis.  ``\s`` matches exactly the code points
+#: ``str.isspace`` accepts, so labels split where they always did.
+SEXPR_TOKEN = re.compile(r"\(|\)|[^()\s]+")
+
+
+def pattern_from_sexpr(text: str) -> Nested:
+    """Parse an s-expression such as ``"(A (B) (C (D)))"`` into nested form.
 
     Labels run until whitespace or a parenthesis; backslash escapes are not
     supported (labels with spaces should use nested-tuple form instead).
-    A bare label without parentheses denotes a single-node tree.
+    A bare label without parentheses denotes a single-node tree, and so
+    does a bare label among a node's children: ``"(A B)"`` is
+    ``"(A (B))"``.  Raises :class:`~repro.errors.TreeError` on malformed
+    input.  The parse keeps an explicit stack, so nesting depth is
+    bounded by memory, not the recursion limit.
     """
-    tokens = _tokenize_sexpr(text)
+    tokens = SEXPR_TOKEN.findall(text)
     if not tokens:
         raise TreeError("empty s-expression")
+    n = len(tokens)
+    first = tokens[0]
+    if first == ")":
+        raise TreeError("unexpected ')'")
+    if first != "(":
+        if n > 1:
+            raise TreeError(f"trailing tokens after tree: {tokens[1:]!r}")
+        return (first, ())
+    # Each open node is its label and the children parsed so far; ``pos``
+    # always sits on the "(" that opens the next node.
+    stack: list[tuple[str, list[Nested]]] = []
     pos = 0
-
-    def parse_node() -> TreeNode:
-        nonlocal pos
-        if tokens[pos] == "(":
-            pos += 1
-            if pos >= len(tokens) or tokens[pos] in "()":
-                raise TreeError("expected a label after '('")
-            node = TreeNode(tokens[pos])
-            pos += 1
-            while pos < len(tokens) and tokens[pos] != ")":
-                node.add_child(parse_node())
-            if pos >= len(tokens):
-                raise TreeError("unbalanced s-expression: missing ')'")
-            pos += 1  # consume ')'
-            return node
-        if tokens[pos] == ")":
-            raise TreeError("unexpected ')'")
-        node = TreeNode(tokens[pos])
+    while True:
         pos += 1
-        return node
+        if pos >= n or tokens[pos] == "(" or tokens[pos] == ")":
+            raise TreeError("expected a label after '('")
+        stack.append((tokens[pos], []))
+        pos += 1
+        while True:
+            if pos >= n:
+                raise TreeError("unbalanced s-expression: missing ')'")
+            token = tokens[pos]
+            if token == "(":
+                break
+            pos += 1
+            if token != ")":
+                stack[-1][1].append((token, ()))
+                continue
+            label, kids = stack.pop()
+            node = (label, tuple(kids))
+            if not stack:
+                if pos != n:
+                    raise TreeError(f"trailing tokens after tree: {tokens[pos:]!r}")
+                return node
+            stack[-1][1].append(node)
 
-    root = parse_node()
-    if pos != len(tokens):
-        raise TreeError(f"trailing tokens after tree: {tokens[pos:]!r}")
-    return LabeledTree(root)
 
-
-def _tokenize_sexpr(text: str) -> list[str]:
-    tokens: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-        elif ch in "()":
-            tokens.append(ch)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+def from_sexpr(text: str) -> LabeledTree:
+    """Parse an s-expression into a tree: :func:`pattern_from_sexpr`'s
+    nested form, built by :func:`from_nested`."""
+    return from_nested(pattern_from_sexpr(text))
 
 
 def to_sexpr(tree: LabeledTree) -> str:

@@ -64,3 +64,27 @@ HTTP_REQUESTS = {
     "xpath_descendant": ("xpath", {"query": "/A//C"}),
     "xpath_wildcard": ("xpath", {"query": "/*/B"}),
 }
+
+#: Synopsis configurations the grouped Theorem 2 pass must answer bit
+#: for bit as the per-residue loop did: top-k on and off, both ξ
+#: families, both value mappings, odd and even ``s2`` (the two median
+#: branches), one stream (``p = 1``) and 8-wise independence.
+SUM_CONFIGS = {
+    "default": SketchTreeConfig(s1=20, s2=5, max_pattern_edges=3, n_virtual_streams=7),
+    "topk": SketchTreeConfig(
+        s1=20, s2=5, max_pattern_edges=3, n_virtual_streams=7, topk_size=4
+    ),
+    "bch": SketchTreeConfig(
+        s1=16, s2=5, max_pattern_edges=3, n_virtual_streams=7, xi_family="bch"
+    ),
+    "pairing": SketchTreeConfig(
+        s1=20, s2=5, max_pattern_edges=3, n_virtual_streams=7, mapping="pairing"
+    ),
+    "even_s2": SketchTreeConfig(
+        s1=20, s2=6, max_pattern_edges=3, n_virtual_streams=7, topk_size=4
+    ),
+    "one_stream": SketchTreeConfig(s1=20, s2=4, max_pattern_edges=3, n_virtual_streams=1),
+    "independence_8": SketchTreeConfig(
+        s1=20, s2=5, max_pattern_edges=3, n_virtual_streams=7, independence=8
+    ),
+}

@@ -23,6 +23,7 @@ from repro.hashing import (
     unpair2,
     unpair_sequence,
 )
+from repro.hashing.labels import RABIN_CACHE_LIMIT
 from repro.hashing.pairing import fold_to_width
 
 
@@ -217,6 +218,22 @@ class TestLabelHasher:
         first = hasher("VP")
         assert hasher("VP") == first
         assert hasher.n_labels_seen == 1
+
+    def test_rabin_cache_is_bounded_and_values_unchanged(self):
+        hasher = LabelHasher("rabin", seed=4)
+        labels = [f"label-{i}" for i in range(RABIN_CACHE_LIMIT + 100)]
+        values = [hasher(label) for label in labels]
+        assert hasher.n_labels_seen <= RABIN_CACHE_LIMIT
+        fresh = LabelHasher("rabin", seed=4)
+        assert values == [fresh(label) for label in labels]
+        assert [hasher(label) for label in labels[:50]] == values[:50]
+
+    def test_enumerate_numbering_is_never_flushed(self):
+        hasher = LabelHasher("enumerate")
+        for i in range(RABIN_CACHE_LIMIT + 100):
+            hasher(f"label-{i}")
+        assert hasher.n_labels_seen == RABIN_CACHE_LIMIT + 100
+        assert hasher("label-0") == 0
 
     def test_enumerate_mode_sequential(self):
         hasher = LabelHasher("enumerate")

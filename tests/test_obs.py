@@ -338,6 +338,8 @@ class TestIngestNeutrality:
         gauges = {g.name: g.value for g in registry.all_gauges()}
         assert gauges["virtual_streams_allocated"] == synopsis.streams.n_allocated
         assert gauges["sketch_counter_l2_mass"] > 0
+        assert gauges["encoder_label_cache_size"] == synopsis.encoder.label_cache_size
+        assert gauges["encoder_label_cache_size"] > 0
         histograms = {h.name: h for h in registry.all_histograms()}
         assert histograms["ingest_patterns_per_tree"].count == synopsis.n_trees
 

@@ -334,6 +334,26 @@ class TestHttpIntegration:
         status, body = client.post("/estimate/xpath", {"query": "/A/B"})
         assert status == 200 and body["estimate"] > 0
 
+    def test_oversize_resolution_is_a_bad_request(self, tmp_path):
+        """A ``*`` query resolving past the pattern cap is refused with
+        400 instead of holding a handler thread while it expands."""
+        config = dataclasses.replace(CONFIG, maintain_summary=True)
+        service = ShardedService(config, n_shards=2, checkpoint_dir=tmp_path / "ckpts")
+        app = ServerApp(service, port=0)
+        app.start()
+        try:
+            client = Client(app.port)
+            wide = " ".join(f"(C{i})" for i in range(25))  # 25³ > 10,000
+            client.post("/ingest", {"trees": [f"(R {wide})"]})
+            client.post("/admin/drain", {})
+            status, body = client.post("/estimate/xpath", {"query": "*[*][*]/*"})
+            assert status == 400 and "more than 10000 patterns" in body["error"]
+            status, body = client.post("/estimate/xpath", {"query": "*[*]/C1"})
+            assert status == 200, body
+        finally:
+            app.request_stop()
+            app.shutdown()
+
     def test_keepalive_round_trips_do_not_wait_for_delayed_acks(self, server):
         # Headers and body in two sends with Nagle on stall each
         # response on the client's delayed ACK (about 40 ms on Linux).

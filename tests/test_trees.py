@@ -1,7 +1,8 @@
 """Tests for the labeled-tree substrate (nodes, trees, builders, stats)."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import TreeError
 from repro.trees import (
@@ -13,7 +14,80 @@ from repro.trees import (
     from_sexpr,
     to_sexpr,
 )
+from repro.trees.builders import SEXPR_TOKEN, pattern_from_sexpr
 from tests.strategies import labeled_trees, nested_trees
+
+
+def char_loop_tokens(text: str) -> list[str]:
+    """The character-loop tokenizer the compiled lexer replaced."""
+    tokens: list[str] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+        elif ch in "()":
+            tokens.append(ch)
+            i += 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+def recursive_sexpr(text: str) -> tuple:
+    """The recursive-descent parse ``from_sexpr`` used to run, to nested
+    form: the oracle for :func:`pattern_from_sexpr`, messages included."""
+    tokens = char_loop_tokens(text)
+    if not tokens:
+        raise TreeError("empty s-expression")
+    pos = 0
+
+    def parse_node() -> tuple:
+        nonlocal pos
+        if tokens[pos] == "(":
+            pos += 1
+            if pos >= len(tokens) or tokens[pos] in "()":
+                raise TreeError("expected a label after '('")
+            label, kids = tokens[pos], []
+            pos += 1
+            while pos < len(tokens) and tokens[pos] != ")":
+                kids.append(parse_node())
+            if pos >= len(tokens):
+                raise TreeError("unbalanced s-expression: missing ')'")
+            pos += 1  # consume ')'
+            return (label, tuple(kids))
+        if tokens[pos] == ")":
+            raise TreeError("unexpected ')'")
+        pos += 1
+        return (tokens[pos - 1], ())
+
+    root = parse_node()
+    if pos != len(tokens):
+        raise TreeError(f"trailing tokens after tree: {tokens[pos:]!r}")
+    return root
+
+
+def outcome(parse, text: str):
+    try:
+        return "ok", parse(text)
+    except TreeError as exc:
+        return "error", str(exc)
+
+
+#: S-expression-ish strings: parentheses, assorted Unicode whitespace and
+#: short labels (some with characters ``str.isspace`` rejects).
+sexpr_texts = st.lists(
+    st.one_of(
+        st.sampled_from(["(", ")", "((", "))"]),
+        st.sampled_from([" ", "\t", "\n", "\x0b", "\x1c", "\x85", "\u2003", "\u3000"]),
+        st.sampled_from(["A", "B", "NP", "//C", "*", "a|b", "\u00e9", "\u200b", "x-1"]),
+    ),
+    max_size=14,
+).map("".join)
 
 
 class TestTreeNode:
@@ -200,6 +274,48 @@ class TestBuilders:
     @given(labeled_trees())
     def test_sexpr_roundtrip(self, tree):
         assert from_sexpr(to_sexpr(tree)) == tree
+
+    def test_sexpr_bare_child_label(self):
+        assert pattern_from_sexpr("(A B (C D))") == (
+            "A",
+            (("B", ()), ("C", (("D", ()),))),
+        )
+
+    def test_sexpr_depth_beyond_recursion_limit(self):
+        depth = 5000
+        nested = pattern_from_sexpr("(A " * depth + ")" * depth)
+        for _ in range(depth - 1):
+            nested = nested[1][0]
+        assert nested == ("A", ())
+
+
+class TestOnePatternParser:
+    """``pattern_from_sexpr`` parses exactly as the recursive parser it
+    replaced, malformed input and error messages included."""
+
+    @settings(max_examples=1500)
+    @given(sexpr_texts)
+    @example("(A) (B)")
+    @example("(A (B")
+    @example("((")
+    @example(")")
+    @example("A B")
+    @example("(A B C)")
+    def test_matches_recursive_parser(self, text):
+        assert outcome(pattern_from_sexpr, text) == outcome(recursive_sexpr, text)
+
+    @given(sexpr_texts)
+    def test_from_sexpr_builds_the_parsed_tree(self, text):
+        expected = outcome(recursive_sexpr, text)
+        got = outcome(lambda t: from_sexpr(t).to_nested(), text)
+        assert got == expected
+
+    def test_lexer_drops_exactly_isspace(self):
+        """The compiled lexer and ``str.isspace`` agree on every code
+        point: the characters no token keeps are the whitespace ones."""
+        text = "".join(map(chr, range(0x110000)))
+        kept = set("".join(SEXPR_TOKEN.findall(text)))
+        assert set(text) - kept == {ch for ch in text if ch.isspace()}
 
 
 class TestStatistics:

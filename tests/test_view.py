@@ -1,15 +1,20 @@
 """Tests for the counter view, the one read path every estimate takes."""
 
 import dataclasses
+import functools
+import random
 
 import pytest
 
 from repro.core import SketchTree, SketchTreeConfig, VirtualStreams
 from repro.core.view import CounterReads, CounterView
+from repro.datasets import DblpGenerator, TreebankGenerator
+from repro.enumtree.enumerate import collect_forest_patterns
 from repro.errors import ConfigError
+from repro.sketch.ams import _CHUNK
 from repro.trees import from_sexpr
 
-from .estimate_kinds import CONFIG, KINDS, STREAM
+from .estimate_kinds import CONFIG, KINDS, STREAM, SUM_CONFIGS
 
 TREES = [from_sexpr(text) for text in STREAM]
 
@@ -108,3 +113,76 @@ class TestPairingEncoding:
             answer = CounterView([a, b]).estimate_ordered(query)
             assert answer == merged.estimate_ordered(query)
             assert answer == pytest.approx(20, abs=2)
+
+
+def per_residue_sum(reads: CounterReads, values) -> float:
+    """One Theorem 2 estimate per residue, added in residue order: the
+    loop the grouped pass replaced, kept here as its oracle."""
+    by_residue = reads._by_residue(values)
+    total = 0.0
+    for residue in sorted(by_residue):
+        matrix = reads.sketch_if_allocated(residue)
+        if matrix is None:
+            continue
+        stream_values = by_residue[residue]
+        adjust = reads.adjustment(residue, stream_values)
+        total += matrix.estimate_sum(stream_values, adjust=adjust)
+    return total
+
+
+SUM_CORPORA = {"dblp": DblpGenerator, "treebank": TreebankGenerator}
+
+
+@functools.lru_cache(maxsize=None)
+def sum_fixture(name: str, corpus: str):
+    """A synopsis of 40 generated trees under ``SUM_CONFIGS[name]``, the
+    counter reads to check (its streams, its view and, where the encoding
+    lets synopses compose, a two-source view), and its encoded values."""
+    config = SUM_CONFIGS[name]
+    trees = list(SUM_CORPORA[corpus](seed=4).generate(40))
+    whole = synopsis(trees, config)
+    reads = [whole.streams, whole.view()]
+    if config.mapping != "pairing":
+        reads.append(CounterView([synopsis(trees[:15], config), synopsis(trees[15:], config)]))
+    patterns, _ = collect_forest_patterns(trees, config.max_pattern_edges)
+    values = list(dict.fromkeys(whole.encoder.encode_batch(patterns)))
+    return whole, reads, values
+
+
+class TestGroupedSum:
+    """``estimate_sum_grouped``'s one pass equals the per-residue loop
+    bit for bit, across configurations and corpora."""
+
+    @pytest.mark.parametrize("corpus", sorted(SUM_CORPORA))
+    @pytest.mark.parametrize("name", sorted(SUM_CONFIGS))
+    def test_matches_per_residue_loop(self, name, corpus):
+        whole, reads, values = sum_fixture(name, corpus)
+        tracked = list(whole.tracked())
+        assert tracked or not whole.config.topk_size
+        rng = random.Random(f"{name}-{corpus}")
+        for _ in range(40):
+            size = rng.choice([1, 2, 3, 8, 40, 200])
+            chosen = rng.sample(values, min(size, len(values)))
+            chosen += rng.sample(tracked, min(rng.randint(0, 3), len(tracked)))
+            chosen += [rng.getrandbits(40) for _ in range(rng.randint(0, 2))]
+            for counter_reads in reads:
+                got = counter_reads.estimate_sum_grouped(chosen)
+                assert got.hex() == per_residue_sum(counter_reads, chosen).hex()
+
+    @pytest.mark.parametrize("name", ["topk", "even_s2", "pairing"])
+    def test_spans_several_xi_chunks(self, name):
+        """More values than one ``sign_rows`` chunk: groups straddle the
+        chunk boundary."""
+        whole, reads, values = sum_fixture(name, "dblp")
+        rng = random.Random(name)
+        chosen = values + [rng.getrandbits(40) for _ in range(_CHUNK + 50 - len(values))]
+        rng.shuffle(chosen)
+        assert len(chosen) > _CHUNK
+        for counter_reads in reads:
+            got = counter_reads.estimate_sum_grouped(chosen)
+            assert got.hex() == per_residue_sum(counter_reads, chosen).hex()
+
+    def test_no_allocated_stream_is_zero(self):
+        empty = SketchTree(SUM_CONFIGS["default"])
+        assert empty.streams.estimate_sum_grouped([1, 2, 3]) == 0.0
+        assert empty.view().estimate_sum_grouped([]) == 0.0
