@@ -9,6 +9,7 @@ units — to characterise the substrate:
 * Rabin fingerprinting of pattern sequences;
 * ξ evaluation (both families' ``sign_rows`` kernels) over a value batch;
 * AMS batch updates and point estimates;
+* Algorithm 4's ``VirtualStreams.track_rows`` at p ∈ {1, 7, 229};
 * end-to-end ``SketchTree.update`` per tree;
 * the query read path: ``*`` / ``//`` resolution against a structural
   summary, s-expression pattern parsing, and one grouped Theorem 2
@@ -22,9 +23,10 @@ import numpy as np
 import pytest
 
 from repro import SketchTree, SketchTreeConfig
+from repro.core.batch import EncodedBatch
 from repro.core.encoding import PatternEncoder
 from repro.datasets import DblpGenerator, TreebankGenerator
-from repro.enumtree import enumerate_patterns
+from repro.enumtree import collect_forest_patterns, enumerate_patterns
 from repro.prufer import prufer_of_nested
 from repro.query import StructuralSummary, parse_xpath
 from repro.sketch import BchXiGenerator, SketchMatrix, XiGenerator
@@ -113,6 +115,45 @@ def test_micro_ams_estimate(benchmark):
     matrix.update_counts({v: 3 for v in range(500)})
     estimate = benchmark(matrix.estimate, 42)
     assert isinstance(estimate, float)
+
+
+@pytest.mark.parametrize("p", [1, 7, 229])
+def test_micro_track_rows(benchmark, p):
+    """Top-k tracking of 20 treebank trees, one ``track_rows`` call per
+    tree segment, on counters that hold all 20 trees.  At p = 1 every
+    call is one block; at 7 and 229 the calls run wavefront rounds."""
+    config = SketchTreeConfig(
+        s1=50, s2=7, max_pattern_edges=4, n_virtual_streams=p, topk_size=8, seed=1
+    )
+    trees = list(TreebankGenerator(seed=2).generate(20))
+    patterns, offsets = collect_forest_patterns(trees, config.max_pattern_edges)
+
+    def setup():
+        synopsis = SketchTree(config)
+        streams = synopsis.streams
+        raw = synopsis.encoder.encode_batch(patterns)
+        batch = EncodedBatch.build(raw, p, streams.xi, tree_offsets=offsets)
+        streams.update_batch(batch)
+        segments = [
+            batch.segment(start, stop) for start, stop in batch.tree_segments()
+        ]
+        rows = [
+            (
+                segment.residues,
+                np.array(segment.raw, dtype=object),
+                streams.xi.sign_rows(segment.values),
+            )
+            for segment in segments
+        ]
+        return (streams, rows), {}
+
+    def track(streams, rows):
+        for residues, raw, signs in rows:
+            streams.track_rows(residues, raw, signs)
+        return streams
+
+    streams = benchmark.pedantic(track, setup=setup, rounds=10)
+    assert any(tracker.n_tracked for _, tracker in streams.iter_trackers())
 
 
 def test_micro_sketchtree_update(benchmark, treebank_tree):

@@ -62,9 +62,10 @@ __all__ = ["SketchTree", "coerce_pattern"]
 #: (11 MiB at 350 instances).
 _WINDOW_ROWS = 8 * _CHUNK
 
-#: Accepted values per :meth:`VirtualStreams.track_rows` call: its int64
-#: products and stacked counters take the bytes of one ``_CHUNK``-row
-#: int8 block each, and its int8 rows an eighth of that.
+#: Accepted values per :meth:`VirtualStreams.track_rows` call: its stacked
+#: int64 counters, a round's gathered counters and their change take at
+#: most the bytes of one ``_CHUNK``-row int8 block each, and its int8
+#: rows an eighth of that.
 _TRACK_ROWS = _CHUNK // 8
 
 
@@ -466,8 +467,8 @@ class SketchTree(Queries):  # sketchlint: single-writer
         add at most ``8R`` more — the per-stream sums read the int8
         rows without an int64 copy — so a tree that fills the window
         peaks near ``24R``.  Tracking runs ``_TRACK_ROWS`` values at a
-        time, whose int64 products and stacked counters add ``R``
-        each.
+        time, whose stacked int64 counters, round counters and round
+        change add at most ``R`` each.
         """
         if not (track and self.config.topk_size and len(batch)):
             self._streams.update_batch(batch)

@@ -319,10 +319,19 @@ def _restore_trackers(synopsis: SketchTree, header: dict[str, Any]) -> None:
                 f"snapshot tracker state for stream {residue_text!r} is "
                 f"malformed: {exc}"
             ) from exc
-        if not 0 <= residue < synopsis.config.n_virtual_streams:
+        n_streams = synopsis.config.n_virtual_streams
+        if not 0 <= residue < n_streams:
             raise SnapshotFormatError(
-                f"snapshot tracker stream {residue} outside "
-                f"[0, {synopsis.config.n_virtual_streams})"
+                f"snapshot tracker stream {residue} outside [0, {n_streams})"
+            )
+        # Every writer files a value under its own residue (ingest,
+        # merge and window refolds all route by it); a value filed
+        # elsewhere was never deleted from this stream's counters.
+        misfiled = [v for v in state if v < 0 or v % n_streams != residue]
+        if misfiled:
+            raise SnapshotFormatError(
+                f"snapshot tracker state for stream {residue} holds value "
+                f"{misfiled[0]}, which is not in that stream"
             )
         # tracker() is non-allocating; make sure the stream (and with it
         # the tracker) exists even if the payload carried no counters.

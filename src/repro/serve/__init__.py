@@ -33,6 +33,12 @@ semantics, and docs/concurrency.md for the threading model the
 
 from repro.serve.models import ApiError, ESTIMATE_KINDS
 from repro.serve.service import ShardedService
-from repro.serve.shards import IngestShard
+from repro.serve.shards import IngestShard, ShardFaultError
 
-__all__ = ["ApiError", "ESTIMATE_KINDS", "IngestShard", "ShardedService"]
+__all__ = [
+    "ApiError",
+    "ESTIMATE_KINDS",
+    "IngestShard",
+    "ShardFaultError",
+    "ShardedService",
+]

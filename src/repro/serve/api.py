@@ -31,8 +31,9 @@ surfaces need the service configured with ``--topk`` /
 
 Error mapping (one place, for every route): :class:`ApiError` carries
 its own status; ``queue.Full`` is 503 backpressure with a
-``Retry-After``; other :class:`~repro.errors.ReproError` subtypes are
-400s (the request named an invalid pattern/config) except
+``Retry-After``; :class:`~repro.serve.shards.ShardFaultError` is 503
+naming the faulted shard; other :class:`~repro.errors.ReproError`
+subtypes are 400s (the request named an invalid pattern/config) except
 :class:`~repro.errors.SnapshotError`, which is a 500 (the server failed
 the durable part).
 """
@@ -53,12 +54,19 @@ from repro.serve.models import (
     parse_topk_limit,
 )
 from repro.serve.service import ShardedService
+from repro.serve.shards import ShardFaultError
 
 __all__ = ["ApiHandler", "ServingHTTPServer", "make_server"]
 
 #: Largest request body accepted, in bytes (64 MiB) — bounds one
 #: handler thread's parse memory before tree validation even starts.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Longest wait, in seconds, for the next bytes of a request body.  A
+#: body shorter than its ``Content-Length`` is answered 400 after this
+#: wait instead of holding a handler thread forever.  Only the body read
+#: waits: an idle keep-alive connection between requests never times out.
+BODY_READ_TIMEOUT = 10.0
 
 
 class ServingHTTPServer(ThreadingHTTPServer):  # sketchlint: thread-safe
@@ -160,14 +168,38 @@ class ApiHandler(BaseHTTPRequestHandler):  # sketchlint: thread-confined
     # Codec
     # ------------------------------------------------------------------
     def _read_json(self) -> object:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
+        """The request body, decoded as JSON.
+
+        A body this handler does not read in full leaves the connection
+        out of step with the client's next request, so those answers
+        close it: an unparsable ``Content-Length``, a body over
+        :data:`MAX_BODY_BYTES`, and a body that stops arriving for
+        :data:`BODY_READ_TIMEOUT` seconds.
+        """
+        text = self.headers.get("Content-Length") or "0"
+        if not (text.isascii() and text.strip().isdigit()):
+            self.close_connection = True
+            raise ApiError(f"Content-Length is not a byte count: {text!r}")
+        length = int(text)
+        if length == 0:
             raise ApiError("request needs a JSON body (Content-Length > 0)")
         if length > MAX_BODY_BYTES:
+            self.close_connection = True
             raise ApiError(
                 f"request body over {MAX_BODY_BYTES} bytes", status=413
             )
-        raw = self.rfile.read(length)
+        self.connection.settimeout(BODY_READ_TIMEOUT)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raw = b""
+        finally:
+            self.connection.settimeout(self.timeout)
+        if len(raw) < length:
+            self.close_connection = True
+            raise ApiError(
+                f"request body ended before its Content-Length of {length} bytes"
+            )
         try:
             return json.loads(raw)
         except ValueError as exc:
@@ -182,6 +214,8 @@ class ApiHandler(BaseHTTPRequestHandler):  # sketchlint: thread-confined
         self.send_header("Content-Length", str(len(body)))
         for key, value in (extra_headers or {}).items():
             self.send_header(key, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
@@ -203,6 +237,8 @@ class ApiHandler(BaseHTTPRequestHandler):  # sketchlint: thread-confined
                 status=503,
                 extra_headers={"Retry-After": "1"},
             )
+        elif isinstance(exc, ShardFaultError):
+            self._send_json({"error": str(exc), "shard": exc.index}, status=503)
         elif isinstance(exc, SnapshotError):
             self._send_json({"error": f"checkpoint failed: {exc}"}, status=500)
         elif isinstance(exc, ReproError):

@@ -39,7 +39,7 @@ from repro.core.window import WindowedSketchTree
 from repro.errors import ConfigError
 from repro.obs.registry import MetricsRegistry, Registry
 from repro.serve.models import ESTIMATE_KINDS, ApiError, render_topk_entries
-from repro.serve.shards import IngestShard
+from repro.serve.shards import IngestShard, ShardFaultError
 from repro.trees.tree import LabeledTree
 
 __all__ = ["ShardedService"]
@@ -293,26 +293,39 @@ class ShardedService:  # sketchlint: thread-safe
         """Readiness: started, running, and accepting ingest.
 
         Not ready before every drain thread is up, after :meth:`stop`,
-        or while the queues are saturated (backpressure — tell the load
+        while any shard has faulted (it refuses its share of ingest), or
+        while the queues are saturated (backpressure — tell the load
         balancer to back off rather than queueing 503s).
         """
         obs = self.metrics
         started = obs.gauge("serve_shards_started").value
         alive = obs.gauge("serve_shards_alive").value
+        faults = obs.gauge("serve_shard_faults").value
         depth = obs.gauge("serve_queue_depth").value
         capacity = obs.gauge("serve_queue_capacity").value
         ready = (
             not self._stopped
             and started == len(self.shards)
             and alive == len(self.shards)
+            and faults == 0
             and depth < capacity
         )
         return {
             "ready": ready,
             "started": int(started),
+            "faults": int(faults),
             "queue_depth": int(depth),
             "queue_capacity": int(capacity),
         }
+
+    def faulted_shards(self) -> list[int]:
+        """Indices of the shards that recorded an ingest fault.
+
+        Their counters stop at the fault, so every estimate response
+        lists them: those answers miss the faulted shards' later share
+        of the stream.
+        """
+        return [shard.index for shard in self.shards if shard.error() is not None]
 
     def stats(self) -> dict:
         """Per-shard introspection for the ``/stats`` endpoint."""
@@ -387,9 +400,11 @@ class ShardedService:  # sketchlint: thread-safe
         """Route one batch to the next shard (round-robin), non-blocking.
 
         Raises ``queue.Full`` (→ 503) when the chosen shard is
-        saturated and :class:`ApiError` 503 after shutdown began.  The
-        admin gate is held only for the enqueue itself, so ingest
-        stalls exactly while a quiescing admin operation runs.
+        saturated, :class:`~repro.serve.shards.ShardFaultError` (→ 503
+        naming the shard) when it has faulted, and :class:`ApiError` 503
+        after shutdown began.  The admin gate is held only for the
+        enqueue itself, so ingest stalls exactly while a quiescing admin
+        operation runs.
         """
         with self._gate:
             if self._stopped:
@@ -397,7 +412,12 @@ class ShardedService:  # sketchlint: thread-safe
             with self._route_lock:
                 index = self._next_shard
                 self._next_shard = (index + 1) % len(self.shards)
-            self.shards[index].submit(trees)
+            shard = self.shards[index]
+            fault = shard.error()
+            if fault is not None:
+                # It would acknowledge the batch and never apply it.
+                raise ShardFaultError(index, fault)
+            shard.submit(trees)
         return {"accepted": len(trees), "shard": index}
 
     # ------------------------------------------------------------------
@@ -419,6 +439,7 @@ class ShardedService:  # sketchlint: thread-safe
             "kind": kind,
             "estimate": _ESTIMATORS[kind](self.view(), parsed),
             "shards": len(self.shards),
+            "faulted_shards": self.faulted_shards(),
             "n_trees": sum(s.synopsis.n_trees for s in self.shards),
         }
 
@@ -445,6 +466,7 @@ class ShardedService:  # sketchlint: thread-safe
             "estimate": _ESTIMATORS[kind](view, parsed),
             "window_trees": self.window_trees,
             "trees_covered": sum(w.window_size_actual for w in windows),
+            "faulted_shards": self.faulted_shards(),
         }
 
     def window_topk(self, limit: int | None = None) -> dict:
@@ -512,6 +534,7 @@ class ShardedService:  # sketchlint: thread-safe
             "kind": kind,
             "estimate": estimate,
             "quiesced": True,
+            "faulted_shards": self.faulted_shards(),
             "n_trees": sum(s.synopsis.n_trees for s in self.shards),
         }
 

@@ -23,14 +23,25 @@ import threading
 from repro.core.config import SketchTreeConfig
 from repro.core.sketchtree import SketchTree
 from repro.core.window import WindowedSketchTree
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.obs.registry import Registry
 from repro.trees.tree import LabeledTree
 
-__all__ = ["IngestShard"]
+__all__ = ["IngestShard", "ShardFaultError"]
 
 #: How often the drain loop re-checks its stop flag while idle (seconds).
 _IDLE_POLL_SECONDS = 0.05
+
+
+class ShardFaultError(ReproError):
+    """Ingest refused by a shard whose drain thread has faulted."""
+
+    def __init__(self, index: int, fault: BaseException):
+        super().__init__(
+            f"shard {index} faulted ({type(fault).__name__}: {fault}) "
+            "and accepts no more ingest"
+        )
+        self.index = index
 
 
 class IngestShard:  # sketchlint: thread-safe
@@ -119,7 +130,8 @@ class IngestShard:  # sketchlint: thread-safe
         Raises ``queue.Full`` when the shard is saturated — the caller
         surfaces that as 503 backpressure rather than buffering
         unboundedly — and :class:`~repro.errors.ConfigError` after
-        :meth:`stop`.
+        :meth:`stop`.  A faulted shard drops what it is given; the
+        service refuses to route to one (:class:`ShardFaultError`).
         """
         if self._stop.is_set():
             raise ConfigError(f"shard {self.index} is stopped")
@@ -148,7 +160,8 @@ class IngestShard:  # sketchlint: thread-safe
         recorded as the shard's fault (surfaced through ``/healthz``)
         and the shard stops *applying* — but keeps consuming and
         acknowledging batches, so ``Queue.join()``-based quiescing can
-        never deadlock on a faulted shard.
+        never deadlock on a faulted shard.  The service routes it no
+        new ones.
         """
         self._started.set()
         while True:

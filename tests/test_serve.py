@@ -14,6 +14,7 @@ import dataclasses
 import http.client
 import json
 import queue
+import socket
 import statistics
 import threading
 import time
@@ -26,6 +27,7 @@ from repro.core.config import SketchTreeConfig
 from repro.core.sketchtree import SketchTree
 from repro.errors import ConfigError
 from repro.obs.registry import MetricsRegistry
+import repro.serve.api as api_module
 from repro.serve.api import make_server
 from repro.serve.app import ServerApp, build_parser, run_from_args
 from repro.serve.models import (
@@ -34,7 +36,7 @@ from repro.serve.models import (
     parse_ingest_request,
 )
 from repro.serve.service import ShardedService
-from repro.serve.shards import IngestShard
+from repro.serve.shards import IngestShard, ShardFaultError
 from repro.trees import from_sexpr
 
 from .estimate_kinds import CONFIG as KINDS_CONFIG
@@ -89,6 +91,34 @@ class Client:
                 return resp.status, json.loads(resp.read())
         except urllib.error.HTTPError as error:
             return error.code, json.loads(error.read())
+
+
+def raw_exchange(port, request: bytes, timeout: float = 30) -> tuple[int, dict, dict]:
+    """Send ``request`` bytes on a fresh socket and read until the server
+    closes it: the status, the headers and the JSON body of its answer."""
+    with socket.create_connection(("127.0.0.1", port), timeout=timeout) as sock:
+        sock.sendall(request)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    head, _, body = b"".join(chunks).partition(b"\r\n\r\n")
+    status_line, *header_lines = head.decode().split("\r\n")
+    headers = dict(line.split(": ", 1) for line in header_lines)
+    return int(status_line.split()[1]), headers, json.loads(body)
+
+
+def fail_once(synopsis):
+    """Make ``synopsis.update_batch`` raise on its next call only."""
+    apply = synopsis.update_batch
+    calls = []
+
+    def update_batch(trees):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            raise RuntimeError("injected ingest fault")
+        apply(trees)
+
+    synopsis.update_batch = update_batch
 
 
 @pytest.fixture
@@ -258,6 +288,27 @@ class TestShardedService:
         with pytest.raises(ApiError):
             service.submit([from_sexpr("(A)")])
 
+    def test_faulted_shard_refuses_its_batches(self):
+        service = ShardedService(CONFIG, n_shards=2)
+        fail_once(service.shards[0].synopsis)
+        service.start()
+        try:
+            assert service.submit([from_sexpr("(A (B))")])["shard"] == 0
+            service.drain()
+            ready = service.ready()
+            assert not ready["ready"] and ready["faults"] == 1
+            assert service.submit([from_sexpr("(A (B))")])["shard"] == 1
+            with pytest.raises(ShardFaultError) as refused:
+                service.submit([from_sexpr("(A (B))")])
+            assert refused.value.index == 0
+            service.drain()
+            assert [s.synopsis.n_trees for s in service.shards] == [0, 1]
+            answer = service.estimate("ordered", "(A (B))")
+            assert answer["faulted_shards"] == [0]
+            assert service.admin_estimate("ordered", "(A (B))")["faulted_shards"] == [0]
+        finally:
+            service.stop()
+
     def test_health_and_ready_derive_from_gauges(self):
         registry = MetricsRegistry()
         service = ShardedService(CONFIG, n_shards=2, metrics=registry)
@@ -419,6 +470,59 @@ class TestHttpIntegration:
             "/estimate/ordered", {"query": "(A (B (C (D (E)))))"}
         )
         assert status == 400 and "error" in body
+
+    def test_faulted_shard_is_503_naming_it(self, server):
+        app, client = server
+        fail_once(app.service.shards[0].synopsis)
+        assert client.post("/ingest", {"trees": ["(A (B))"]})[0] == 202
+        client.post("/admin/drain", {})
+        status, body = client.get("/readyz")
+        assert status == 503 and json.loads(body)["faults"] == 1
+        assert client.post("/ingest", {"trees": ["(A (B))"]})[0] == 202
+        assert client.post("/ingest", {"trees": ["(A (B))"]})[0] == 202
+        status, body = client.post("/ingest", {"trees": ["(A (B))"]})
+        assert status == 503 and body["shard"] == 0
+        assert "shard 0" in body["error"]
+        status, body = client.post("/estimate/ordered", {"query": "(A (B))"})
+        assert status == 200 and body["faulted_shards"] == [0]
+
+    def test_non_numeric_content_length_is_400(self, server):
+        app, _ = server
+        status, headers, body = raw_exchange(
+            app.port,
+            b"POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: ten\r\n\r\n",
+        )
+        assert status == 400 and "Content-Length" in body["error"]
+        assert headers["Connection"] == "close"
+
+    def test_short_body_times_out_with_400(self, server, monkeypatch):
+        app, _ = server
+        monkeypatch.setattr(api_module, "BODY_READ_TIMEOUT", 0.2)
+        began = time.perf_counter()
+        status, headers, body = raw_exchange(
+            app.port,
+            b"POST /ingest HTTP/1.1\r\nHost: x\r\nContent-Length: 100\r\n\r\n"
+            b'{"trees": ',
+        )
+        assert status == 400 and "Content-Length" in body["error"]
+        assert headers["Connection"] == "close"
+        assert time.perf_counter() - began < 10
+
+    def test_idle_keepalive_outlives_the_body_timeout(self, server, monkeypatch):
+        app, _ = server
+        monkeypatch.setattr(api_module, "BODY_READ_TIMEOUT", 0.1)
+        connection = http.client.HTTPConnection("127.0.0.1", app.port, timeout=30)
+        try:
+            for _ in range(2):
+                connection.request(
+                    "POST", "/estimate/ordered", body=json.dumps({"query": "(A (B))"})
+                )
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+                time.sleep(0.3)  # idle for three body timeouts
+        finally:
+            connection.close()
 
     def test_backpressure_is_503_with_retry_after(self, tmp_path):
         service = ShardedService(CONFIG, n_shards=1, max_pending=1)

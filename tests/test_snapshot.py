@@ -272,6 +272,24 @@ class TestRejection:
         with pytest.raises(SnapshotFormatError, match="topk_size=0"):
             snapshot_from_bytes(tampered)
 
+    @pytest.mark.parametrize("misfile", ["other_stream", "negative"])
+    def test_tracker_value_outside_its_stream_rejected(self, misfile):
+        blob = build(FULL, STREAM).to_bytes()
+
+        def mutate(header):
+            residue, entries = sorted(header["trackers"].items())[0]
+            value = int(entries[0][0])
+            if misfile == "negative":
+                # Still in the stream's residue class: only the sign is wrong.
+                value = int(residue) - FULL.n_virtual_streams
+            else:
+                value += 1
+            entries[0][0] = str(value)
+
+        tampered = rewrite_header(blob, mutate)
+        with pytest.raises(SnapshotFormatError, match="not in that stream"):
+            snapshot_from_bytes(tampered)
+
     def test_summary_without_maintain_summary_rejected(self):
         blob = build(BASE, STREAM[:4]).to_bytes()
         tampered = rewrite_header(
