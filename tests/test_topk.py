@@ -72,6 +72,31 @@ class TestAlgorithm4:
         tracker.process(1234)
         assert tracker.tracked == {}
 
+    def test_decide_transitions(self):
+        """The one transition every ingest path takes, on given estimates:
+        the block and round paths are checked against ``process``, which
+        shares it, so its own rules are pinned here."""
+        tracker = TopKTracker(2, SketchMatrix(4, 3, seed=0))
+        arrivals = [  # (value, stored frequency, estimate)
+            (10, 0, 5),
+            (11, 0, 0),  # not positive
+            (12, 0, 3),  # now full
+            (13, 0, 3),  # ties the root
+            (13, 0, 4),  # evicts it
+            # A re-arrival is untracked first, so it never evicts, even
+            # below the root's frequency.
+            (10, 5, 2),
+            (13, 4, -1),
+        ]
+        with tracker._lock:  # asserted outside: the tracker's repr locks
+            decided = [tracker._decide(*arrival) for arrival in arrivals]
+        assert decided == [
+            (5, None), (0, None), (3, None), (0, None), (4, (12, 3)),
+            (2, None), (0, None),
+        ]
+        assert tracker.tracked == {10: 2}
+        assert (tracker.n_evictions, tracker.n_rearrivals) == (1, 2)
+
     def test_size_validation(self):
         with pytest.raises(ConfigError):
             TopKTracker(0, SketchMatrix(4, 2, seed=0))
