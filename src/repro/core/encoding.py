@@ -172,14 +172,6 @@ class PatternEncoder:  # sketchlint: thread-safe
             self.cache_misses += n_missed
         return values
 
-    def encode_many(self, patterns) -> list[int]:
-        """Encode an iterable of patterns, preserving order.
-
-        Alias of :meth:`encode_batch`, kept for callers of the
-        pre-columnar API.
-        """
-        return self.encode_batch(patterns)
-
     def lookup_values(self, values: Iterable[int]) -> dict[int, Nested]:
         """Best-effort reverse lookup: encoded value → pattern.
 

@@ -21,7 +21,7 @@ See ``docs/corpora.md`` for formats, options, CLI usage and fixture
 provenance.
 """
 
-from repro.corpora.dblp import DBLP_RECORD_TAGS, ForestSplitter, iter_dblp_trees
+from repro.corpora.dblp import DBLP_RECORD_TAGS, iter_dblp_trees
 from repro.corpora.export import iter_parse_export, parse_export
 from repro.corpora.normalize import NormalizeOptions, normalize_node, strip_function
 from repro.corpora.ptb import iter_parse_ptb, parse_ptb
@@ -31,7 +31,6 @@ __all__ = [
     "CorpusReader",
     "DBLP_RECORD_TAGS",
     "FORMATS",
-    "ForestSplitter",
     "NormalizeOptions",
     "iter_dblp_trees",
     "iter_parse_export",

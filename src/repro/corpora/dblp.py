@@ -3,27 +3,24 @@
 The paper's stream construction "removed the root tag of the document"
 and treated each remaining top-level element as one tree of the stream.
 A real ``dblp.xml`` is far larger than memory, so this reader never
-materialises the document: chunks are fed into an incremental lexical
-scanner (:class:`ForestSplitter`) that tracks just enough state —
-open-element depth, tag/quote/comment/CDATA/PI/DOCTYPE modes — to carve
-each complete child element of the root out of a bounded buffer.  Every
-carved record then goes through the library's own
-:func:`~repro.trees.xml.iter_parse_forest`, so entity handling,
-attribute mapping and error taxonomy are byte-identical to the
-whole-document parser (property-tested in ``tests/test_corpora.py``).
+materialises the document: the file's chunks are fed to the library's
+one XML lexer (:mod:`repro.trees.xml`), which reads them at depth 1 —
+the root's own tags, its attributes and the character data directly
+inside it are dropped — and every child element of the root becomes one
+tree.  Each byte is lexed once, and entity handling, attribute mapping
+and errors are those of :func:`~repro.trees.xml.parse_forest`; an error
+carries the absolute document offset of the fault.
 
-Memory is bounded by one record plus one chunk: the buffer is compacted
-after every scan, and inter-record whitespace at the top level is
-discarded as it arrives.
+Memory is bounded by one record plus one chunk: the lexer's buffer
+holds only an unfinished construct between chunks.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
 
-from repro.errors import XmlParseError
 from repro.trees.tree import LabeledTree
-from repro.trees.xml import iter_parse_forest
+from repro.trees.xml import _events, _fold
 
 #: The publication elements of the real DBLP DTD (children of ``<dblp>``).
 DBLP_RECORD_TAGS = frozenset(
@@ -44,223 +41,6 @@ DBLP_RECORD_TAGS = frozenset(
 DEFAULT_CHUNK_CHARS = 1 << 16
 
 
-class ForestSplitter:  # sketchlint: thread-confined
-    """Incrementally split an XML document into its root's child elements.
-
-    Feed text chunks with :meth:`feed`; each call returns the complete
-    depth-1 elements (``(absolute_offset, text)`` pairs) finished by
-    that chunk.  The root's own tags are consumed and never emitted —
-    the paper's "remove the root tag" construction.  Call :meth:`close`
-    at end of input to surface truncation as :class:`XmlParseError`.
-    """
-
-    _TEXT, _TAG, _COMMENT, _CDATA, _PI, _DECL = range(6)
-
-    def __init__(self) -> None:
-        self.buffer = ""
-        self.offset = 0  # absolute document offset of buffer[0]
-        self.done = False  # saw the root close tag
-        self._pos = 0  # scan position within buffer
-        self._state = self._TEXT
-        self._depth = 0  # currently open elements (root included)
-        self._record_start = -1  # buffer offset of the open record, or -1
-        self._tag_start = -1  # buffer offset of the '<' being scanned
-        self._tag_is_close = False
-        self._quote = ""
-        self._subset_depth = 0  # '[' nesting inside <!DOCTYPE ...>
-        self._saw_root = False
-
-    # ------------------------------------------------------------------
-    def feed(self, chunk: str) -> list[tuple[int, str]]:
-        """Add text; return records completed by it (offset, text)."""
-        if self.done or not chunk:
-            return []
-        self.buffer += chunk
-        records: list[tuple[int, str]] = []
-        while self._scan_step(records):
-            pass
-        self._compact()
-        return records
-
-    def close(self) -> None:
-        """Assert the document ended cleanly (root closed, no open lexeme)."""
-        if self.done:
-            return
-        if not self._saw_root:
-            raise XmlParseError("no root element found", self.offset + self._pos)
-        where = self.offset + (
-            self._tag_start if self._state != self._TEXT and self._tag_start >= 0
-            else self._pos
-        )
-        if self._state != self._TEXT:
-            raise XmlParseError("unterminated markup at end of input", where)
-        raise XmlParseError(
-            f"unterminated document: {self._depth} element(s) still open", where
-        )
-
-    # ------------------------------------------------------------------
-    def _scan_step(self, records: list[tuple[int, str]]) -> bool:
-        """Advance one lexeme; return False when more input is needed."""
-        buffer = self.buffer
-        if self._state == self._TEXT:
-            start = buffer.find("<", self._pos)
-            if start < 0:
-                self._pos = len(buffer)
-                return False
-            # Classifying '<' needs up to 9 chars of lookahead (<![CDATA[).
-            if len(buffer) - start < 9 and not self._classifiable(buffer, start):
-                self._pos = start
-                return False
-            self._pos = start
-            self._tag_start = start
-            if buffer.startswith("<!--", start):
-                self._state = self._COMMENT
-            elif buffer.startswith("<![CDATA[", start):
-                self._state = self._CDATA
-            elif buffer.startswith("<?", start):
-                self._state = self._PI
-            elif buffer.startswith("<!", start):
-                self._state = self._DECL
-                self._subset_depth = 0
-                self._pos = start + 2
-            else:
-                self._state = self._TAG
-                self._tag_is_close = buffer.startswith("</", start)
-                self._quote = ""
-                self._pos = start + (2 if self._tag_is_close else 1)
-                if not self._tag_is_close and self._depth == 1:
-                    self._record_start = start
-            return True
-        if self._state == self._COMMENT:
-            return self._skip_until("-->")
-        if self._state == self._CDATA:
-            return self._skip_until("]]>")
-        if self._state == self._PI:
-            return self._skip_until("?>")
-        if self._state == self._DECL:
-            return self._scan_declaration()
-        return self._scan_tag(records)
-
-    @staticmethod
-    def _classifiable(buffer: str, start: int) -> bool:
-        """True when the '<' can be classified without more lookahead."""
-        prefix = buffer[start : start + 9]
-        for special in ("<![CDATA[", "<!--"):
-            if len(prefix) < len(special) and special.startswith(prefix):
-                return False
-        return True
-
-    def _skip_until(self, terminator: str) -> bool:
-        end = self.buffer.find(terminator, self._pos)
-        if end < 0:
-            # Keep the whole construct buffered until its terminator shows.
-            self._pos = self._tag_start
-            return False
-        self._pos = end + len(terminator)
-        self._state = self._TEXT
-        self._tag_start = -1
-        return True
-
-    def _scan_declaration(self) -> bool:
-        """Skip ``<!DOCTYPE …>`` including a ``[...]`` internal subset."""
-        buffer = self.buffer
-        pos = self._pos
-        while pos < len(buffer):
-            ch = buffer[pos]
-            if ch == "[":
-                self._subset_depth += 1
-            elif ch == "]":
-                self._subset_depth -= 1
-            elif ch == ">" and self._subset_depth <= 0:
-                self._pos = pos + 1
-                self._state = self._TEXT
-                self._tag_start = -1
-                return True
-            pos += 1
-        self._pos = pos
-        return False
-
-    def _scan_tag(self, records: list[tuple[int, str]]) -> bool:
-        buffer = self.buffer
-        pos = self._pos
-        while pos < len(buffer):
-            ch = buffer[pos]
-            if self._quote:
-                if ch == self._quote:
-                    self._quote = ""
-            elif ch in ("'", '"'):
-                self._quote = ch
-            elif ch == ">":
-                self._finish_tag(pos, records)
-                return True
-            pos += 1
-        self._pos = pos
-        return False
-
-    def _finish_tag(self, gt_pos: int, records: list[tuple[int, str]]) -> None:
-        self_closing = not self._tag_is_close and self.buffer[gt_pos - 1] == "/"
-        self._pos = gt_pos + 1
-        self._state = self._TEXT
-        if self._tag_is_close:
-            if self._depth == 0:
-                raise XmlParseError(
-                    "close tag without an open element",
-                    self.offset + self._tag_start,
-                )
-            self._depth -= 1
-            if self._depth == 1 and self._record_start >= 0:
-                self._emit(records, self._record_start, gt_pos + 1)
-            elif self._depth == 0:
-                self.done = True
-        elif self_closing:
-            if self._depth == 1:
-                self._emit(records, self._tag_start, gt_pos + 1)
-            elif self._depth == 0:
-                # A self-closing root: an empty forest.
-                self._saw_root = True
-                self.done = True
-        else:
-            self._depth += 1
-            if self._depth == 1:
-                self._saw_root = True
-        self._tag_start = -1
-
-    def _emit(
-        self, records: list[tuple[int, str]], start: int, end: int
-    ) -> None:
-        records.append((self.offset + start, self.buffer[start:end]))
-        self._record_start = -1
-
-    def _compact(self) -> None:
-        """Drop the consumed prefix; keep any open record or lexeme."""
-        keep = self._pos
-        if self._record_start >= 0:
-            keep = min(keep, self._record_start)
-        if self._state != self._TEXT and self._tag_start >= 0:
-            keep = min(keep, self._tag_start)
-        if keep <= 0:
-            return
-        self.buffer = self.buffer[keep:]
-        self.offset += keep
-        self._pos -= keep
-        if self._record_start >= 0:
-            self._record_start -= keep
-        if self._tag_start >= 0:
-            self._tag_start -= keep
-
-
-def iter_split_records(
-    chunks,  # type: Iterator[str] | list[str]
-) -> Iterator[tuple[int, str]]:
-    """Drive a :class:`ForestSplitter` over an iterable of text chunks."""
-    splitter = ForestSplitter()
-    for chunk in chunks:
-        yield from splitter.feed(chunk)
-        if splitter.done:
-            return
-    splitter.close()
-
-
 def iter_dblp_trees(
     path: str,
     record_tags=None,
@@ -272,20 +52,13 @@ def iter_dblp_trees(
 
     ``record_tags`` restricts the yielded records to the given element
     names (e.g. :data:`DBLP_RECORD_TAGS`); ``None`` keeps every child of
-    the root.  Memory stays bounded by the largest single record.
+    the root.  The document must have exactly one root element.  Memory
+    stays bounded by the largest single record.
     """
     wanted = frozenset(record_tags) if record_tags is not None else None
     with open(path, "r", encoding=encoding) as handle:
         chunks = iter(lambda: handle.read(chunk_chars), "")
-        for record_offset, text in iter_split_records(chunks):
-            try:
-                trees = list(iter_parse_forest(text, keep_attributes=keep_attributes))
-            except XmlParseError as exc:
-                raise XmlParseError(
-                    f"in record at document offset {record_offset}: {exc.args[0]}"
-                ) from exc
-            # The splitter emits exactly one complete element per record.
-            assert len(trees) == 1
-            tree = trees[0]
+        events = _events(chunks, keep_attributes, depth=1, document=True)
+        for tree in _fold(events):
             if wanted is None or tree.label_of(tree.root) in wanted:
                 yield tree

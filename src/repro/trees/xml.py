@@ -1,4 +1,4 @@
-"""A from-scratch XML tokenizer/parser and serializer for labeled trees.
+"""A chunk-fed XML lexer and serializer for labeled trees.
 
 The paper streams XML documents (TREEBANK and DBLP) as ordered labeled
 trees.  This module implements the subset of XML those corpora use, with
@@ -11,24 +11,74 @@ the mapping the paper's evaluation implies:
 * attributes become child nodes labeled ``@name`` with a single text leaf
   child holding the value (DBLP uses attributes sparingly; this keeps the
   information without special cases downstream);
-* comments, processing instructions, the XML declaration and DOCTYPE are
-  skipped.
+* comments, processing instructions, the XML declaration and DOCTYPE
+  (internal subset included) are skipped.
 
-The parser is a deliberate hand-rolled recursive-descent tokenizer rather
-than a wrapper over :mod:`xml.etree`: it is a substrate of the reproduction
-and gives precise, position-annotated errors
-(:class:`~repro.errors.XmlParseError`).
+Every reader runs on one lexer.  :class:`_Lexer` takes text a chunk at a
+time and turns it into open/text/close events.  One compiled pattern
+takes one whole construct at a time — a tag, a text run, a comment, a
+CDATA section, a processing instruction or a declaration — and the lexer
+waits for the next chunk only when a construct is cut off at the end of
+its buffer.  Because a construct is only ever matched whole, every
+chunking of a document reads the same events, the same trees and the
+same errors.  :func:`_fold` turns events into one tree per element at
+the lexer's depth: the whole-text entry points here read at depth 0,
+and :func:`repro.corpora.dblp.iter_dblp_trees` reads a file's chunks at
+depth 1, dropping the root's own tags.
+
+The lexer is hand-rolled rather than a wrapper over :mod:`xml.etree`: it
+is a substrate of the reproduction, and every defect is an
+:class:`~repro.errors.XmlParseError` carrying the absolute document
+offset of the fault.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import re
+from typing import Iterable, Iterator
 
 from repro.errors import XmlParseError
 from repro.trees.node import TreeNode
 from repro.trees.tree import LabeledTree
 
 _ENTITY_MAP = {"lt": "<", "gt": ">", "amp": "&", "apos": "'", "quot": '"'}
+
+#: An element or attribute name: no whitespace, markup or quote
+#: character, and no leading ``!`` or ``?`` (those open declarations and
+#: processing instructions).
+_NAME = r"[^\s<>/=\"'!?][^\s<>/=\"']*"
+
+#: One whole construct.  The last group that matched tells which: 1 a
+#: text run, 2 a close tag, 5 a start tag (3 its name, 4 its attributes,
+#: 5 the ``/`` of an empty element), 6 a CDATA section, none a comment,
+#: processing instruction or declaration.
+_TOKEN = re.compile(
+    rf"""
+    ([^<]+)(?=<)
+  | </({_NAME})\s*>
+  | <({_NAME})((?:\s*{_NAME}\s*=\s*(?:"[^"]*"|'[^']*'))*)\s*(/?)>
+  | <!\[CDATA\[(.*?)]]>
+  | <!--.*?-->
+  | <\?.*?\?>
+  | <!(?!--|\[CDATA\[)[^>\[]*(?:\[[^\]]*][^>\[]*)*>
+    """,
+    re.S | re.X,
+)
+_ATTRIBUTE = re.compile(rf"""\s*({_NAME})\s*=\s*(["'])(.*?)\2""", re.S)
+#: A tag's extent: up to the first ``>`` outside quotes.
+_TAG_EXTENT = re.compile(r"""<[^>"']*(?:(?:"[^"]*"|'[^']*')[^>"']*)*>""")
+_NON_SPACE = re.compile(r"\S")
+#: Skipped constructs by opener.  ``<!`` comes last: it also covers
+#: the cut-off beginnings of ``<!--`` and ``<![CDATA[``.
+_SKIPPED = (
+    ("<!--", "comment"),
+    ("<![CDATA[", "CDATA section"),
+    ("<?", "processing instruction"),
+    ("<!", "declaration"),
+)
+_CLOSE = ("close",)
+#: Slice size in characters for the whole-text entry points.
+_SLICE_CHARS = 1 << 16
 
 
 def parse_xml(text: str, keep_attributes: bool = True) -> LabeledTree:
@@ -42,10 +92,8 @@ def parse_xml(text: str, keep_attributes: bool = True) -> LabeledTree:
         When ``False``, attributes are dropped instead of becoming
         ``@name`` child nodes.
     """
-    trees = list(iter_parse_forest(text, keep_attributes=keep_attributes))
-    if len(trees) != 1:
-        raise XmlParseError(f"expected exactly one root element, found {len(trees)}")
-    return trees[0]
+    (tree,) = _fold(_events(_slices(text), keep_attributes, document=True))
+    return tree
 
 
 def parse_forest(text: str, keep_attributes: bool = True) -> list[LabeledTree]:
@@ -63,15 +111,10 @@ def iter_parse_forest(text: str, keep_attributes: bool = True) -> Iterator[Label
     This is the streaming entry point: each yielded tree can be fed to
     :meth:`repro.SketchTree.update` without materialising the whole forest.
     """
-    parser = _Parser(text, keep_attributes)
-    while True:
-        tree = parser.next_tree()
-        if tree is None:
-            return
-        yield tree
+    return _fold(_events(_slices(text), keep_attributes))
 
 
-def iter_events(text: str, keep_attributes: bool = True):
+def iter_events(text: str, keep_attributes: bool = True) -> Iterator[tuple]:
     """SAX-style event stream over a sequence of top-level XML elements.
 
     Yields tuples:
@@ -88,207 +131,197 @@ def iter_events(text: str, keep_attributes: bool = True):
     as :class:`repro.stream.sax.SaxPatternEnumerator` — process documents
     without materialising whole trees.
     """
-    parser = _Parser(text, keep_attributes)
-    while True:
-        parser._skip_intertag_noise()
-        if parser.pos >= len(parser.text):
-            return
-        if parser.text[parser.pos] != "<":
-            raise XmlParseError(
-                "unexpected character data at the top level", parser.pos
-            )
-        yield from parser.iter_element_events()
+    return _events(_slices(text), keep_attributes)
 
 
-class _Parser:
-    """Recursive-descent parser over a single text buffer."""
+def _slices(text: str) -> Iterator[str]:
+    """Feed a whole text in bounded slices, so events stay one slice deep."""
+    for start in range(0, len(text), _SLICE_CHARS):
+        yield text[start : start + _SLICE_CHARS]
 
-    def __init__(self, text: str, keep_attributes: bool):
-        self.text = text
-        self.pos = 0
+
+def _events(
+    chunks: Iterable[str],
+    keep_attributes: bool,
+    depth: int = 0,
+    document: bool = False,
+) -> Iterator[tuple]:
+    """Lex ``chunks`` in order; see :class:`_Lexer` for the arguments."""
+    lexer = _Lexer(keep_attributes, depth, document)
+    for chunk in chunks:
+        yield from lexer.feed(chunk)
+    lexer.close()
+
+
+def _fold(events: Iterable[tuple]) -> Iterator[LabeledTree]:
+    """Fold balanced events into one tree per outermost element."""
+    stack: list[TreeNode] = []
+    for event in events:
+        kind = event[0]
+        if kind == "open":
+            node = TreeNode(event[1])
+            if stack:
+                stack[-1].children.append(node)
+            stack.append(node)
+        elif kind == "text":
+            stack[-1].children.append(TreeNode(event[1]))
+        else:
+            node = stack.pop()
+            if not stack:
+                yield LabeledTree(node)
+
+
+class _Lexer:  # sketchlint: thread-confined
+    """Chunk-fed XML lexer: text in, open/text/close events out.
+
+    ``depth`` drops the tags of the outermost ``depth`` levels, their
+    attributes and the character data directly inside them, so each
+    element at that depth becomes an outermost bracket of events.  With
+    ``document`` set, exactly one root element is required.
+    :attr:`buffer` holds only an unfinished construct between calls.
+    """
+
+    def __init__(self, keep_attributes: bool, depth: int = 0, document: bool = False):
         self.keep_attributes = keep_attributes
+        self.depth = depth
+        self.document = document
+        self.buffer = ""
+        self.offset = 0  # document offset of buffer[0]
+        self.names: list[str] = []  # open elements, outermost first
+        self.text: list[str] = []  # character data since the last tag
+        self.roots = 0
 
-    # -- top level -----------------------------------------------------
-    def next_tree(self) -> LabeledTree | None:
-        """Parse one top-level element by folding its event stream.
-
-        Building on :meth:`iter_element_events` keeps parsing fully
-        iterative — arbitrarily deep documents cannot overflow the
-        recursion limit — and guarantees the tree and SAX paths agree by
-        construction.
-        """
-        self._skip_intertag_noise()
-        if self.pos >= len(self.text):
-            return None
-        if self.text[self.pos] != "<":
-            raise XmlParseError(
-                "unexpected character data at the top level", self.pos
-            )
-        stack: list[TreeNode] = []
-        root: TreeNode | None = None
-        for event in self.iter_element_events():
-            kind = event[0]
-            if kind == "open":
-                node = TreeNode(event[1])
-                if stack:
-                    stack[-1].add_child(node)
-                stack.append(node)
-            elif kind == "text":
-                stack[-1].add(event[1])
-            else:
-                root = stack.pop()
-        assert root is not None and not stack  # events are balanced
-        return LabeledTree(root)
-
-    def _skip_intertag_noise(self) -> None:
-        """Skip whitespace, comments, PIs, declarations between elements."""
+    def feed(self, chunk: str) -> list[tuple]:
+        """Lex ``chunk`` after the buffered text; return its events."""
+        buf = self.buffer + chunk
+        end = len(buf)
+        offset = self.offset
+        keep = self.keep_attributes
+        depth = self.depth
+        names = self.names
         text = self.text
-        while self.pos < len(text):
-            if text[self.pos].isspace():
-                self.pos += 1
-            elif text.startswith("<!--", self.pos):
-                self._skip_until("-->")
-            elif text.startswith("<?", self.pos):
-                self._skip_until("?>")
-            elif text.startswith("<!", self.pos):
-                self._skip_until(">")
-            else:
-                return
-
-    def _skip_until(self, terminator: str) -> None:
-        end = self.text.find(terminator, self.pos)
-        if end < 0:
-            raise XmlParseError(f"unterminated construct, expected {terminator!r}", self.pos)
-        self.pos = end + len(terminator)
-
-    # -- lexical helpers -------------------------------------------------
-    def _parse_name(self) -> str:
-        start = self.pos
-        text = self.text
-        while self.pos < len(text) and not text[self.pos].isspace() and text[
-            self.pos
-        ] not in "<>/=":
-            self.pos += 1
-        if self.pos == start:
-            raise XmlParseError("expected a name", start)
-        return text[start : self.pos]
-
-    def _skip_spaces(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def _parse_attribute_list(self) -> list[tuple[str, str]]:
-        """Consume the attribute region of a start tag, returning pairs."""
-        text = self.text
-        out: list[tuple[str, str]] = []
-        while True:
-            self._skip_spaces()
-            if self.pos >= len(text):
-                raise XmlParseError("unterminated start tag", self.pos)
-            if text[self.pos] in "/>":
-                return out
-            name = self._parse_name()
-            self._skip_spaces()
-            if not text.startswith("=", self.pos):
-                raise XmlParseError(f"attribute {name!r} missing '='", self.pos)
-            self.pos += 1
-            self._skip_spaces()
-            quote = text[self.pos : self.pos + 1]
-            if quote not in ("'", '"'):
-                raise XmlParseError(f"attribute {name!r} value must be quoted", self.pos)
-            end = text.find(quote, self.pos + 1)
-            if end < 0:
-                raise XmlParseError(f"unterminated value for attribute {name!r}", self.pos)
-            out.append((name, _unescape(text[self.pos + 1 : end], self.pos + 1)))
-            self.pos = end + 1
-
-    # -- event mode (SAX-style) -------------------------------------------
-    def iter_element_events(self):
-        """Yield open/text/close events for one top-level element."""
-        depth = 0
-        names: list[str] = []
-        text = self.text
-        # First start tag.
-        yield from self._open_tag_events(names)
-        depth = len(names)
-        if depth == 0:
-            return  # self-closing top-level element
-        buffer: list[str] = []
-        while depth:
-            if self.pos >= len(text):
-                raise XmlParseError(f"unterminated element <{names[-1]}>", self.pos)
-            if text.startswith("</", self.pos):
-                chunk = "".join(buffer).strip()
-                buffer.clear()
-                if chunk:
-                    yield ("text", chunk)
-                self.pos += 2
-                close = self._parse_name()
-                if close != names[-1]:
+        events: list[tuple] = []
+        emit = events.append
+        match = _TOKEN.match
+        pos = 0
+        while pos < end:
+            if not names:
+                visible = _NON_SPACE.search(buf, pos)
+                if visible is None:
+                    pos = end
+                    break
+                pos = visible.start()
+                if buf[pos] != "<":
                     raise XmlParseError(
-                        f"mismatched close tag </{close}> for <{names[-1]}>",
-                        self.pos,
+                        "unexpected character data at the top level", offset + pos
                     )
-                self._skip_spaces()
-                if not text.startswith(">", self.pos):
-                    raise XmlParseError(f"malformed close tag </{close}>", self.pos)
-                self.pos += 1
+            token = match(buf, pos)
+            if token is None:
+                self._stall(buf, pos, final=False)
+                break
+            at = offset + pos
+            pos = token.end()
+            kind = token.lastindex
+            if kind is None:  # a comment, processing instruction or declaration
+                continue
+            if kind == 1:
+                text.append(_unescape(token.group(1), at))
+                continue
+            if kind == 6:
+                if not names:
+                    raise XmlParseError(
+                        "unexpected character data at the top level", at
+                    )
+                text.append(token.group(6))
+                continue
+            # A tag ends the character data before it.
+            if text:
+                value = "".join(text).strip()
+                text.clear()
+                if value and len(names) > depth:
+                    emit(("text", value))
+            if kind == 2:
+                name = token.group(2)
+                if not names:
+                    raise XmlParseError(
+                        f"close tag </{name}> without an open element", at
+                    )
+                if name != names[-1]:
+                    raise XmlParseError(
+                        f"mismatched close tag </{name}> for <{names[-1]}>", at
+                    )
                 names.pop()
-                depth -= 1
-                yield ("close",)
-            elif text.startswith("<!--", self.pos):
-                self._skip_until("-->")
-            elif text.startswith("<![CDATA[", self.pos):
-                end = text.find("]]>", self.pos)
-                if end < 0:
-                    raise XmlParseError("unterminated CDATA section", self.pos)
-                buffer.append(text[self.pos + 9 : end])
-                self.pos = end + 3
-            elif text.startswith("<?", self.pos):
-                self._skip_until("?>")
-            elif text.startswith("<", self.pos):
-                chunk = "".join(buffer).strip()
-                buffer.clear()
-                if chunk:
-                    yield ("text", chunk)
-                before = len(names)
-                yield from self._open_tag_events(names)
-                depth += len(names) - before
-            else:
-                nxt = text.find("<", self.pos)
-                if nxt < 0:
-                    raise XmlParseError(
-                        f"unterminated element <{names[-1]}>", self.pos
-                    )
-                buffer.append(_unescape(text[self.pos : nxt], self.pos))
-                self.pos = nxt
+                if len(names) >= depth:
+                    emit(_CLOSE)
+                continue
+            name = token.group(3)
+            level = len(names)
+            if not level:
+                if self.document and self.roots:
+                    raise XmlParseError(f"second root element <{name}>", at)
+                self.roots += 1
+            shown = level >= depth
+            if shown:
+                emit(("open", name))
+            attributes = token.group(4)
+            # Values are unescaped even when dropped, so a malformed
+            # character reference always raises.
+            if attributes and (keep or "&" in attributes):
+                base = offset + token.start(4)
+                for pair in _ATTRIBUTE.finditer(attributes):
+                    value = _unescape(pair.group(3), base + pair.start(3))
+                    if keep and shown:
+                        emit(("open", "@" + pair.group(1)))
+                        if value:
+                            emit(("text", value))
+                        emit(_CLOSE)
+            if not token.group(5):
+                names.append(name)
+            elif shown:
+                emit(_CLOSE)
+        self.buffer = buf[pos:]
+        self.offset = offset + pos
+        return events
 
-    def _open_tag_events(self, names: list[str]):
-        """Consume one start tag; emit its open (+ attribute) events.
+    def close(self) -> None:
+        """End of input: refuse whatever is left unfinished."""
+        if self.buffer:
+            self._stall(self.buffer, 0, final=True)
+        if self.names:
+            raise XmlParseError(f"unterminated element <{self.names[-1]}>", self.offset)
+        if self.document and not self.roots:
+            raise XmlParseError("no root element found", self.offset)
 
-        Pushes the element name onto ``names`` unless the tag is
-        self-closing (in which case the close event is emitted here).
+    def _stall(self, buf: str, pos: int, final: bool) -> None:
+        """No whole construct matches at ``buf[pos]``.
+
+        Return when more input could still complete it; otherwise raise
+        at its document offset.  Either way the answer depends only on
+        text before the construct's end, so it is the same for every
+        chunking.
         """
-        start = self.pos
-        if not self.text.startswith("<", self.pos):
-            raise XmlParseError("expected '<'", self.pos)
-        self.pos += 1
-        name = self._parse_name()
-        yield ("open", name)
-        for attr_name, value in self._parse_attribute_list():
-            if self.keep_attributes:
-                yield ("open", f"@{attr_name}")
-                if value:
-                    yield ("text", value)
-                yield ("close",)
-        if self.text.startswith("/>", self.pos):
-            self.pos += 2
-            yield ("close",)
+        at = self.offset + pos
+        if buf[pos] != "<":  # a text run not yet followed by a tag
+            if final:
+                raise XmlParseError(
+                    f"unterminated element <{self.names[-1]}>", self.offset + len(buf)
+                )
             return
-        if not self.text.startswith(">", self.pos):
-            raise XmlParseError(f"malformed start tag for <{name}>", start)
-        self.pos += 1
-        names.append(name)
+        for opener, what in _SKIPPED:
+            if buf.startswith(opener, pos):
+                if final:
+                    raise XmlParseError(f"unterminated {what}", at)
+                return
+        # A start or end tag.  Names hold no quote, so a complete tag's
+        # quotes are its attribute values', and it ends at the first ">"
+        # outside them; a tag that failed to match before that is malformed.
+        extent = _TAG_EXTENT.match(buf, pos)
+        if extent is None:
+            if final:
+                raise XmlParseError("unterminated tag", at)
+            return
+        kind = "close" if buf.startswith("</", pos) else "start"
+        raise XmlParseError(f"malformed {kind} tag {extent.group()[:60]!r}", at)
 
 
 def _unescape(text: str, base: int = 0) -> str:

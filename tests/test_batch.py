@@ -26,8 +26,12 @@ from repro.core import EncodedBatch, PatternEncoder
 from repro.core.batch import FieldReducer
 from repro.core.topk import EXACT_SUM_LIMIT, TopKTracker
 from repro.core.window import WindowedSketchTree
-from repro.datasets import TreebankGenerator
-from repro.enumtree import collect_forest_patterns, enumerate_patterns
+from repro.datasets import DblpGenerator, TreebankGenerator
+from repro.enumtree import (
+    collect_forest_patterns,
+    enumerate_patterns,
+    iter_pattern_multiset,
+)
 from repro.errors import ConfigError
 from repro.hashing.pairing import pair_sequence, pair_sequences
 from repro.hashing.rabin import RabinFingerprint
@@ -167,6 +171,31 @@ class TestIngestPathEquivalence:
         assert synopsis.n_values == 0
         for _, matrix in synopsis.streams.iter_sketches():
             assert not matrix.counters.any()
+
+    @pytest.mark.parametrize("generator", [DblpGenerator, TreebankGenerator])
+    def test_paper_config_matches_per_value_loop(self, generator):
+        # The loop ingest ran before the columnar pipeline: one encode and
+        # one SketchMatrix.update per pattern occurrence, with no batch
+        # code on its path.  The shipped micro-batched path must leave
+        # every counter bit-identical on the paper's configuration.
+        config = SketchTreeConfig(
+            s1=50, s2=7, max_pattern_edges=4, n_virtual_streams=229, seed=7
+        )
+        trees = list(generator(seed=8).generate(30))
+        loop, batched = SketchTree(config), SketchTree(config)
+        n_values = 0
+        for tree in trees:
+            for pattern in iter_pattern_multiset(tree, config.max_pattern_edges):
+                value = loop.encoder.encode(pattern)
+                loop.streams.sketch(loop.streams.residue(value)).update(value)
+                n_values += 1
+        StreamProcessor([batched], batch_trees=32).run(trees)
+        assert batched.n_values == n_values
+        expected = dict(loop.streams.iter_sketches())
+        actual = dict(batched.streams.iter_sketches())
+        assert expected.keys() == actual.keys()
+        for residue, matrix in expected.items():
+            np.testing.assert_array_equal(matrix.counters, actual[residue].counters)
 
 
 class TestEncodedBatch:

@@ -1,13 +1,12 @@
 """Tests for the real-corpus streaming readers (repro.corpora)."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.corpora import (
     DBLP_RECORD_TAGS,
     CorpusReader,
-    ForestSplitter,
     NormalizeOptions,
     iter_dblp_trees,
     iter_parse_ptb,
@@ -17,9 +16,10 @@ from repro.corpora import (
     strip_function,
 )
 from repro.errors import ConfigError, CorpusParseError, XmlParseError
-from repro.stream import StreamProcessor
-from repro.trees import from_nested, parse_forest, to_xml
+from repro.stream import StreamProcessor, iter_xml_patterns
+from repro.trees import from_nested, iter_events, parse_forest, parse_xml, to_xml
 from repro.trees.tree import LabeledTree
+from repro.trees.xml import _events, _fold, _Lexer
 from tests.strategies import nested_trees
 
 from pathlib import Path
@@ -269,29 +269,27 @@ class TestDblpReader:
         bad.write_text("<dblp>\n<article><title>x</wrong></article>\n</dblp>")
         with pytest.raises(XmlParseError) as excinfo:
             list(iter_dblp_trees(str(bad)))
-        assert "document offset 7" in str(excinfo.value)
+        assert excinfo.value.position == 24  # the offset of </wrong>
 
-    def test_splitter_buffer_stays_bounded(self):
+    def test_lexer_buffer_stays_bounded(self):
         text = DBLP_FIXTURE.read_text()
-        splitter = ForestSplitter()
+        lexer = _Lexer(keep_attributes=True, depth=1, document=True)
         high_water = 0
         for position in range(0, len(text), 32):
-            splitter.feed(text[position : position + 32])
-            high_water = max(high_water, len(splitter.buffer))
+            lexer.feed(text[position : position + 32])
+            high_water = max(high_water, len(lexer.buffer))
+        lexer.close()
         # Memory is one record + one chunk, never the whole document.
         longest_record = max(
             len(record) for record in text.split("</article>")
         )
         assert high_water <= longest_record + 64
-        assert splitter.done
 
     @given(nested_trees(max_nodes=8), st.integers(min_value=1, max_value=33))
     @settings(max_examples=40, deadline=None)
-    def test_splitter_roundtrip_property(self, nested, chunk_chars):
-        # Any serialisable forest wrapped in a root tag must split back
-        # into per-record documents identically, whatever the chunking.
-        from repro.corpora.dblp import iter_split_records
-
+    def test_chunked_roundtrip_property(self, nested, chunk_chars):
+        # Any serialisable forest wrapped in a root tag must read back
+        # record by record, identically, whatever the chunking.
         tree = from_nested(nested)
         record = to_xml(tree)
         document = f"<root>{record}{record}</root>"
@@ -299,9 +297,196 @@ class TestDblpReader:
             document[i : i + chunk_chars]
             for i in range(0, len(document), chunk_chars)
         ]
-        records = list(iter_split_records(chunks))
-        assert [text for _, text in records] == [record, record]
-        assert [parse_forest(text)[0] for _, text in records] == [tree, tree]
+        assert read_records(chunks) == [tree, tree]
+
+
+def read_records(chunks) -> list[LabeledTree]:
+    """The DBLP reader's path over in-memory chunks: depth 1, one root."""
+    return list(_fold(_events(chunks, True, depth=1, document=True)))
+
+
+#: Chunk sizes that cut every construct, cut some, and cut none.
+CHUNK_CHARS = (1, 7, 1 << 16)
+
+
+@pytest.mark.parametrize("chunk_chars", CHUNK_CHARS)
+class TestOneRuleAtEveryChunkSize:
+    """The DBLP reader's document rules, the same at every chunking."""
+
+    def read(self, tmp_path, text, chunk_chars, keep_attributes=True):
+        path = tmp_path / "doc.xml"
+        path.write_text(text)
+        return list(
+            iter_dblp_trees(
+                str(path), keep_attributes=keep_attributes, chunk_chars=chunk_chars
+            )
+        )
+
+    def position_of_error(self, tmp_path, text, chunk_chars, **options) -> int:
+        with pytest.raises(XmlParseError) as excinfo:
+            self.read(tmp_path, text, chunk_chars, **options)
+        return excinfo.value.position
+
+    def test_second_root_raises_at_its_offset(self, tmp_path, chunk_chars):
+        text = "<dblp><a/></dblp>\n<dblp><c/></dblp>"
+        assert self.position_of_error(tmp_path, text, chunk_chars) == 18
+
+    def test_root_closed_early_raises_at_the_next_element(
+        self, tmp_path, chunk_chars
+    ):
+        text = "<dblp><a/></dblp><b/></dblp>"
+        assert self.position_of_error(tmp_path, text, chunk_chars) == 17
+
+    def test_stray_end_tag_raises_at_its_offset(self, tmp_path, chunk_chars):
+        text = "<dblp><a/></dblp></dblp>"
+        assert self.position_of_error(tmp_path, text, chunk_chars) == 17
+
+    def test_doctype_with_internal_subset(self, tmp_path, chunk_chars):
+        text = '<!DOCTYPE dblp [<!ENTITY x "y">]>\n<dblp><a/><b>t</b></dblp>'
+        trees = self.read(tmp_path, text, chunk_chars)
+        assert [t.to_nested() for t in trees] == [
+            ("a", ()),
+            ("b", (("t", ()),)),
+        ]
+
+    def test_root_attributes_and_text_are_not_records(
+        self, tmp_path, chunk_chars
+    ):
+        text = '<dblp version="1">loose <a k="v"/> text</dblp>'
+        trees = self.read(tmp_path, text, chunk_chars)
+        assert [t.to_nested() for t in trees] == [
+            ("a", (("@k", (("v", ()),)),)),
+        ]
+
+    def test_self_closing_root_yields_no_trees(self, tmp_path, chunk_chars):
+        text = '<?xml version="1.0"?><dblp a="1"/>'
+        assert self.read(tmp_path, text, chunk_chars) == []
+
+    def test_dropped_attribute_values_are_still_unescaped(
+        self, tmp_path, chunk_chars
+    ):
+        text = '<dblp><a k="&#;"/></dblp>'
+        position = self.position_of_error(
+            tmp_path, text, chunk_chars, keep_attributes=False
+        )
+        assert position == 12  # the offset of the bad reference's "&"
+
+    def test_no_root_raises(self, tmp_path, chunk_chars):
+        with pytest.raises(XmlParseError, match="no root element"):
+            self.read(tmp_path, "<!-- only a comment -->\n", chunk_chars)
+
+
+class TestDoctypeWithInternalSubset:
+    TEXT = '<!DOCTYPE a [<!ENTITY x "y">]><a><b/></a>'
+
+    def test_parse_xml(self):
+        assert parse_xml(self.TEXT).to_nested() == ("a", (("b", ()),))
+
+    def test_iter_events(self):
+        assert list(iter_events(self.TEXT)) == [
+            ("open", "a"), ("open", "b"), ("close",), ("close",),
+        ]
+
+    def test_iter_xml_patterns(self):
+        assert list(iter_xml_patterns(self.TEXT, 2)) == [("a", (("b", ()),))]
+
+
+#: Fragments of markup: tags, attributes, entities, comments, CDATA,
+#: PIs, declarations, and pieces of each that cut them.
+MARKUP = st.sampled_from(
+    [
+        "<r>", "</r>", "<a>", "</a>", "<b/>", "<a x='1'>", '<a y="&amp;>">',
+        "text", " ", "\n", "<!--c-->", "<!-- - -->", "<![CDATA[x]]>",
+        "<![CDATA[<]]>", "<?pi x?>", "<!DOCTYPE r [<!ENTITY e 'v'>]>",
+        "&amp;", "&#65;", "&#;", "&lt;", "<", ">", "/", "'", '"', "=", "!",
+        "?", "[", "]", "-", "<!", "<?", "</", "/>", "<a", " x=", "'v'",
+        '"w"', "<!-->", "<?>", "]]>", "-->", "<r/>",
+    ]
+)
+NAMES = st.sampled_from(["r", "a", "b2", "x:y"])
+#: Attribute values with the characters a lexer can mistake for markup.
+VALUES = st.sampled_from(["1", "a>b", "it's", 'say "hi"', "&amp;", "&#x41;", ""])
+CONTENT = st.sampled_from(
+    ["text", " a &amp; b ", "&#65;", "x > y", "<![CDATA[<x>]]>", "<!-- c -->",
+     "<?pi x?>", "\n  "]
+)
+
+
+def _attribute(key: str, value: str) -> str:
+    quote = "'" if '"' in value else '"'
+    return f" {key}={quote}{value}{quote}"
+
+
+def _element(parts) -> str:
+    name, attributes, content = parts
+    attrs = "".join(_attribute(key, value) for key, value in attributes)
+    if content is None:
+        return f"<{name}{attrs}/>"
+    return f"<{name}{attrs}>{''.join(content)}</{name}>"
+
+
+_ATTRIBUTES = st.lists(st.tuples(NAMES, VALUES), max_size=2)
+ELEMENTS = st.recursive(
+    st.tuples(NAMES, _ATTRIBUTES, st.none()).map(_element),
+    lambda kids: st.tuples(
+        NAMES, _ATTRIBUTES, st.lists(kids | CONTENT, max_size=4)
+    ).map(_element),
+    max_leaves=8,
+)
+
+
+def _document(prolog: str, body: str, junk: str, at: float) -> str:
+    text = prolog + body
+    cut = round(at * len(text))
+    return text[:cut] + junk + text[cut:]
+
+
+#: Mostly well-formed documents: a prolog, then elements, often under one
+#: root, sometimes with a fragment of markup spliced in at a random point.
+DOCUMENTS = st.builds(
+    _document,
+    st.sampled_from(["", "<?xml version='1.0'?>\n", '<!DOCTYPE r [<!ENTITY e "v">]>']),
+    st.one_of(
+        st.lists(ELEMENTS, max_size=3).map("".join),
+        st.tuples(st.just("r"), st.just([]), st.lists(ELEMENTS | CONTENT, max_size=4))
+        .map(_element),
+    ),
+    st.lists(MARKUP, max_size=2).map("".join),
+    st.floats(0, 1),
+)
+
+
+def readings(text: str, cuts: list[int], depth: int, document: bool) -> list:
+    """Read ``text`` whole, cut at ``cuts``, and one character at a time:
+    the trees, or the offset of the error."""
+    bounds = [0, *sorted(cuts), len(text)]
+    feeds = ([text], [text[a:b] for a, b in zip(bounds, bounds[1:])], list(text))
+    out = []
+    for feed in feeds:
+        try:
+            events = _events(feed, True, depth=depth, document=document)
+            out.append([t.to_nested() for t in _fold(events)])
+        except XmlParseError as exc:
+            out.append(exc.position)
+    return out
+
+
+class TestChunkingInvariance:
+    """Cutting the input anywhere never changes what is read."""
+
+    @given(
+        st.one_of(st.lists(MARKUP, max_size=14).map("".join), DOCUMENTS),
+        st.lists(st.floats(0, 1), max_size=6),
+        st.sampled_from([(0, False), (0, True), (1, True)]),
+    )
+    # A quote in a name would open a quoted run only for the tag-extent
+    # scan, which could then end this tag early while it is cut off.
+    @example('<r><a"b c=">" d="x"/></r>', [], (0, False))
+    @settings(max_examples=300, deadline=None)
+    def test_chunked_reading_equals_whole_reading(self, text, fractions, mode):
+        cuts = [round(f * len(text)) for f in fractions]
+        whole, *chunked = readings(text, cuts, *mode)
+        assert chunked == [whole, whole]
 
 
 # ---------------------------------------------------------------------------

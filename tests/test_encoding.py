@@ -27,10 +27,10 @@ class TestEncoder:
         encoder.encode(pattern)
         assert encoder.cache_size == 1
 
-    def test_encode_many_preserves_order(self):
+    def test_encode_batch_preserves_order(self):
         encoder = PatternEncoder(seed=1)
         patterns = [("A", ()), ("B", ()), ("A", ())]
-        values = encoder.encode_many(patterns)
+        values = encoder.encode_batch(patterns)
         assert values[0] == values[2]
         assert values[0] != values[1]
 
@@ -68,7 +68,7 @@ class TestEncoder:
         patterns = [
             (f"L{i}", ((f"L{j}", ()),)) for i in range(60) for j in range(60)
         ]
-        values = encoder.encode_many(patterns)
+        values = encoder.encode_batch(patterns)
         assert len(set(values)) == len(patterns)
 
     def test_unicode_labels(self):

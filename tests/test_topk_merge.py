@@ -4,8 +4,8 @@ Algorithm 4 *folds* heavy mass out of the counters; these tests pin the
 protocol that makes the folded state composable again:
 
 * ``TopKTracker.unfold`` restores counters **bit-identical** to a
-  ``topk_size=0`` run — the property `benchmarks/bench_ingest.py` and
-  `examples/serving_smoke.py` lean on;
+  ``topk_size=0`` run — the property the benchmark suite's
+  ``round_digests`` check and `examples/serving_smoke.py` lean on;
 * ``SketchTree.merge`` accepts top-k operands (unfold → sum → refold)
   without mutating them;
 * windowed and sharded top-k deployments answer like a single-synopsis
