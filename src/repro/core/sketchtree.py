@@ -666,12 +666,8 @@ class SketchTree(Queries):  # sketchlint: single-writer
             # The dataguide of a union of streams is the union of the
             # tries, so the merged synopsis answers extended queries
             # exactly as a single-node run over both streams would.
+            # (One config means both carry a summary or neither does.)
             merged.summary = self.summary.merge(other.summary)
-        elif self.summary is not None or other.summary is not None:
-            raise ConfigError(
-                "cannot merge a synopsis with a structural summary into one "
-                "without: extended queries on the result would undercount"
-            )
         return merged
 
     def to_bytes(self) -> bytes:

@@ -6,26 +6,49 @@ self-describing binary snapshot format that round-trips *all* synopsis
 state — sketch counters, top-k tracker state, the structural summary,
 and bookkeeping — plus crash-safe checkpointing on top of it.
 
-Format (version 1)
+Format (version 2)
 ------------------
 
-::
+Every blob — a synopsis, a window container, and each bucket nested in
+a window — is one frame, written by :func:`_frame` and read back by
+:func:`_unframe`::
 
-    MAGIC (8 bytes) | header length (8 bytes, big-endian) | header | payload
+    MAGIC (8 bytes) | header length (8 bytes, big-endian) | header
+    | payload | SHA-256 of everything before it (32 bytes)
 
-* ``header`` — canonical JSON (sorted keys) carrying the format version,
-  the full :class:`~repro.core.config.SketchTreeConfig`, a config/ξ-seed
-  fingerprint, top-k tracker state (values as decimal strings, so
-  pairing-mode big integers survive), the structural summary trie, the
-  tree/value counts, and the payload's size and SHA-256 checksum.
-  Pairing-mode snapshots also carry ``labels``, the encoder's label
-  numbering (labels in first-seen order): pairing values hold only under
-  the numbering that produced them, so a restore without it would number
-  query labels afresh and answer wrongly, and a pairing blob without it
-  is refused.
+The digest covers the magic, the header and the payload, and is checked
+before the header is parsed: a flipped bit anywhere (a tracker entry,
+the structural summary, a tree count) is refused, never restored.  The
+magic names the kind — ``SKTSNAP`` a synopsis, ``SKTWSNP`` a window —
+and :func:`load_snapshot` dispatches on it.  The ``header`` is
+canonical JSON (sorted keys) carrying the kind's format name, the
+format version, the full :class:`~repro.core.config.SketchTreeConfig`
+and a config/ξ-seed fingerprint, plus the kind's own fields.
+
+A synopsis (``SKTSNAP``):
+
+* ``header`` — also top-k tracker state (values as decimal strings, so
+  pairing-mode big integers survive), the structural summary trie and
+  the tree/value counts.  Pairing-mode snapshots also carry ``labels``,
+  the encoder's label numbering (labels in first-seen order): pairing
+  values hold only under the numbering that produced them, so a
+  restore without it would number query labels afresh and answer
+  wrongly, and a pairing blob without it is refused.
 * ``payload`` — an ``npz`` archive (``numpy.savez_compressed``, loaded
   with ``allow_pickle=False``) holding one int64 counter array per
   allocated virtual stream, named ``sketch_<residue>``.
+
+A :class:`~repro.core.window.WindowedSketchTree` (``SKTWSNP``):
+
+* ``header`` — also the window geometry (``window_trees``,
+  ``bucket_trees``), the absolute stream position (``n_trees_seen``,
+  which resume skip counts key on), the merge-on-expiry churn counters
+  and the bucket count.
+* ``payload`` — one length-prefixed (8 bytes, big-endian) ``SKTSNAP``
+  frame per retained bucket, complete buckets oldest-first, then the
+  in-progress one.  Per-bucket top-k tracker state rides along in each
+  nested frame, so a restored window compensates queries exactly like
+  the one that was saved.
 
 Nothing in the format executes code on load: the header is JSON, the
 payload is raw arrays.  Loaders *refuse* — with typed
@@ -33,38 +56,22 @@ payload is raw arrays.  Loaders *refuse* — with typed
 truncated, version-mismatched, or configured differently than expected,
 instead of restoring garbage that would answer queries wrongly.
 
-Version policy: ``FORMAT_VERSION`` is bumped on any incompatible layout
-change; a loader accepts exactly the versions it knows how to restore
+Version policy: one ``FORMAT_VERSION`` covers every kind and is bumped
+on any incompatible change to the frame, a header schema, or a payload
+encoding.  A loader accepts exactly the version it knows how to restore
 bit-faithfully and raises :class:`~repro.errors.SnapshotVersionError`
-otherwise.
-
-Window container format (version 1)
------------------------------------
-
-:class:`~repro.core.window.WindowedSketchTree` state is a *container* of
-per-bucket synopsis snapshots::
-
-    WINDOW_MAGIC (8 bytes) | header length (8 bytes, big-endian) | header
-    | length-prefixed SKTSNAP blobs (complete buckets oldest-first, then
-      the in-progress bucket)
-
-The header carries the window geometry (``window_trees``,
-``bucket_trees``), the absolute stream position (``n_trees_seen``, which
-resume skip counts key on), the merge-on-expiry churn counters, and the
-same config/fingerprint/checksum discipline as the synopsis format.
-Because each nested blob is a full SKTSNAP snapshot, **per-bucket top-k
-tracker state rides along versioned** — a restored window compensates
-queries exactly like the one that was saved.  :func:`save_snapshot` /
-:func:`load_snapshot` and :class:`CheckpointManager` dispatch on the
-object type / leading magic, so windows checkpoint and resume through
-:class:`~repro.stream.engine.StreamProcessor` unchanged.
+otherwise.  A version 1 blob, whose SHA-256 covered only the payload
+and sat in its header, carries no trailing digest: it fails the digest
+check with :class:`~repro.errors.SnapshotIntegrityError`, and no
+version 1 loader is kept.
 
 Checkpointing
 -------------
 
 :class:`CheckpointManager` turns the snapshot format into crash-safe
 periodic checkpoints: atomic write-then-rename (a crash mid-write never
-clobbers the previous checkpoint), keep-last-N retention, and a
+clobbers the previous checkpoint), keep-last-N retention (which also
+removes the temp file a killed save leaves behind), and a
 :meth:`~CheckpointManager.load_latest` that falls back to older
 checkpoints when the newest fails validation.
 :class:`~repro.stream.engine.StreamProcessor` wires this into streaming
@@ -77,13 +84,14 @@ import hashlib
 import io
 import json
 import os
+import re
 import threading
 import time
 import zipfile
 from collections import deque
 from dataclasses import asdict
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 if TYPE_CHECKING:
     from repro.core.window import WindowedSketchTree
@@ -104,41 +112,57 @@ from repro.errors import (
 )
 from repro.query.summary import StructuralSummary
 
-#: First 8 bytes of every snapshot; the trailing newline makes accidental
-#: text-mode corruption (CRLF translation) fail the magic check loudly.
+#: First 8 bytes of a synopsis snapshot; the trailing newline makes
+#: accidental text-mode corruption (CRLF translation) fail the magic
+#: check loudly.
 MAGIC = b"SKTSNAP\n"
 
 #: First 8 bytes of a sliding-window container snapshot.
 WINDOW_MAGIC = b"SKTWSNP\n"
 
-#: Current snapshot format version.  Bumped on any incompatible change to
-#: the layout, header schema, or payload encoding; see the module
-#: docstring for the acceptance policy.
-FORMAT_VERSION = 1
+#: Format version of every frame, whatever its kind.  Bumped on any
+#: incompatible change to the frame, a header schema, or a payload
+#: encoding; see the module docstring for the acceptance policy.
+FORMAT_VERSION = 2
 
-#: Current window container format version (independent of the nested
-#: synopsis blobs' own versioning).
-WINDOW_FORMAT_VERSION = 1
+_LENGTH_BYTES = 8
+_PREFIX_LEN = len(MAGIC) + _LENGTH_BYTES
+_DIGEST_LEN = 32  # SHA-256
 
-_FORMAT_NAME = "sketchtree-snapshot"
-_WINDOW_FORMAT_NAME = "sketchtree-window-snapshot"
-_HEADER_LEN_BYTES = 8
-_PREFIX_LEN = len(MAGIC) + _HEADER_LEN_BYTES
 
-_REQUIRED_HEADER_KEYS = frozenset(
-    {
-        "format",
-        "format_version",
-        "config",
-        "fingerprint",
-        "n_trees",
-        "n_values",
-        "trackers",
-        "summary",
-        "payload_size",
-        "payload_sha256",
-    }
-)
+class _Kind(NamedTuple):
+    """What a frame of one kind is called and must carry."""
+
+    name: str  # the header's "format"
+    noun: str  # how error messages name a blob of this kind
+    keys: frozenset[str]  # header keys the kind's restore reads
+
+
+_KINDS = {
+    MAGIC: _Kind(
+        "sketchtree-snapshot",
+        "snapshot",
+        frozenset(
+            {"config", "fingerprint", "n_trees", "n_values", "trackers", "summary"}
+        ),
+    ),
+    WINDOW_MAGIC: _Kind(
+        "sketchtree-window-snapshot",
+        "window snapshot",
+        frozenset(
+            {
+                "config",
+                "fingerprint",
+                "window_trees",
+                "bucket_trees",
+                "n_trees_seen",
+                "n_refolds",
+                "n_refold_candidates",
+                "n_buckets",
+            }
+        ),
+    ),
+}
 
 
 def config_fingerprint(config: SketchTreeConfig) -> str:
@@ -157,18 +181,99 @@ def config_fingerprint(config: SketchTreeConfig) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Serialisation
+# The frame
+# ---------------------------------------------------------------------------
+
+def _frame(magic: bytes, fields: dict[str, Any], payload: bytes) -> bytes:
+    """Frame one blob: ``magic | header length | header | payload | digest``.
+
+    The header is ``fields`` as canonical JSON, stamped with the kind's
+    format name and :data:`FORMAT_VERSION` unless ``fields`` already
+    carries them — as :func:`_unframe` returns them, so re-framing what
+    it returned gives back the same bytes.  The digest is the SHA-256 of
+    everything before it.
+    """
+    header: dict[str, Any] = {
+        "format": _KINDS[magic].name,
+        "format_version": FORMAT_VERSION,
+    }
+    header.update(fields)
+    header_bytes = json.dumps(
+        header, sort_keys=True, separators=(",", ":")
+    ).encode("utf-8")
+    body = (
+        magic
+        + len(header_bytes).to_bytes(_LENGTH_BYTES, "big")
+        + header_bytes
+        + payload
+    )
+    return body + hashlib.sha256(body).digest()
+
+
+def _unframe(blob: bytes, magic: bytes) -> tuple[dict[str, Any], bytes]:
+    """Check a :func:`_frame` blob of the kind ``magic`` names.
+
+    Returns ``(header, payload)`` or raises a typed
+    :class:`~repro.errors.SnapshotError`.  The digest is checked before
+    the header is parsed, so nothing after it reads a byte the writer
+    did not write.
+    """
+    kind = _KINDS[magic]
+    noun = kind.noun
+    if not blob or not magic.startswith(blob[: len(magic)]):
+        raise SnapshotFormatError(f"not a SketchTree {noun} (bad magic)")
+    if len(blob) < _PREFIX_LEN:
+        raise SnapshotIntegrityError(
+            f"{noun} truncated inside the {_PREFIX_LEN}-byte prefix"
+        )
+    header_end = _PREFIX_LEN + int.from_bytes(blob[len(magic) : _PREFIX_LEN], "big")
+    if header_end + _DIGEST_LEN > len(blob):
+        raise SnapshotIntegrityError(
+            f"{noun} truncated inside its header or digest (need "
+            f"{header_end + _DIGEST_LEN} bytes, have {len(blob)})"
+        )
+    body = blob[:-_DIGEST_LEN]
+    if hashlib.sha256(body).digest() != blob[-_DIGEST_LEN:]:
+        raise SnapshotIntegrityError(
+            f"{noun} checksum mismatch — the blob is corrupt (or a version "
+            "1 blob, which carried no whole-blob digest)"
+        )
+    try:
+        header = json.loads(body[_PREFIX_LEN:header_end].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SnapshotFormatError(f"{noun} header is not valid JSON: {exc}") from exc
+    if not isinstance(header, dict) or header.get("format") != kind.name:
+        raise SnapshotFormatError(f"{noun} header is not a {kind.name} header")
+    version = header.get("format_version")
+    if not isinstance(version, int) or isinstance(version, bool):
+        raise SnapshotFormatError(
+            f"{noun} format_version must be an integer, got {version!r}"
+        )
+    if version != FORMAT_VERSION:
+        raise SnapshotVersionError(
+            f"{noun} format version {version} is not supported by this "
+            f"loader (supports exactly {FORMAT_VERSION})"
+        )
+    missing = kind.keys - header.keys()
+    if missing:
+        raise SnapshotFormatError(
+            f"{noun} header is missing keys: {sorted(missing)}"
+        )
+    return header, body[header_end:]
+
+
+# ---------------------------------------------------------------------------
+# Synopses
 # ---------------------------------------------------------------------------
 
 def snapshot_to_bytes(synopsis: SketchTree) -> bytes:
-    """Serialise a synopsis into the versioned snapshot format."""
+    """Serialise a synopsis into one ``SKTSNAP`` frame."""
     arrays: dict[str, np.ndarray] = {
         f"sketch_{residue}": matrix.counters
         for residue, matrix in synopsis.streams.iter_sketches()
     }
-    payload_io = io.BytesIO()
-    np.savez_compressed(payload_io, **arrays)
-    payload = payload_io.getvalue()
+    payload = io.BytesIO()
+    np.savez_compressed(payload, **arrays)
 
     trackers: dict[str, list[list[Any]]] = {}
     for residue, tracker in synopsis.streams.iter_trackers():
@@ -178,9 +283,7 @@ def snapshot_to_bytes(synopsis: SketchTree) -> bytes:
                 [str(value), count] for value, count in sorted(state.items())
             ]
 
-    header: dict[str, Any] = {
-        "format": _FORMAT_NAME,
-        "format_version": FORMAT_VERSION,
+    fields: dict[str, Any] = {
         "config": asdict(synopsis.config),
         "fingerprint": config_fingerprint(synopsis.config),
         "n_trees": synopsis.n_trees,
@@ -189,78 +292,11 @@ def snapshot_to_bytes(synopsis: SketchTree) -> bytes:
         "summary": (
             synopsis.summary.to_dict() if synopsis.summary is not None else None
         ),
-        "payload_size": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     labels = synopsis.encoder.label_numbering()
     if labels is not None:
-        header["labels"] = labels
-    header_bytes = json.dumps(
-        header, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return (
-        MAGIC
-        + len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "big")
-        + header_bytes
-        + payload
-    )
-
-
-# ---------------------------------------------------------------------------
-# Deserialisation
-# ---------------------------------------------------------------------------
-
-def _split_blob(blob: bytes) -> tuple[dict[str, Any], bytes]:
-    """Validate framing and return (header, payload) or raise typed errors."""
-    if not blob.startswith(MAGIC[: min(len(blob), len(MAGIC))]) or not blob:
-        raise SnapshotFormatError("not a SketchTree snapshot (bad magic)")
-    if len(blob) < _PREFIX_LEN:
-        raise SnapshotIntegrityError(
-            f"snapshot truncated inside the {_PREFIX_LEN}-byte prefix"
-        )
-    header_len = int.from_bytes(blob[len(MAGIC) : _PREFIX_LEN], "big")
-    if _PREFIX_LEN + header_len > len(blob):
-        raise SnapshotIntegrityError(
-            f"snapshot truncated inside its header (need {header_len} bytes, "
-            f"have {len(blob) - _PREFIX_LEN})"
-        )
-    header_bytes = blob[_PREFIX_LEN : _PREFIX_LEN + header_len]
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotFormatError(f"snapshot header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != _FORMAT_NAME:
-        raise SnapshotFormatError(
-            "snapshot header is not a sketchtree-snapshot header"
-        )
-    version = header.get("format_version")
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise SnapshotFormatError(
-            f"snapshot format_version must be an integer, got {version!r}"
-        )
-    if version != FORMAT_VERSION:
-        raise SnapshotVersionError(
-            f"snapshot format version {version} is not supported by this "
-            f"loader (supports exactly {FORMAT_VERSION})"
-        )
-    missing = _REQUIRED_HEADER_KEYS - header.keys()
-    if missing:
-        raise SnapshotFormatError(
-            f"snapshot header is missing keys: {sorted(missing)}"
-        )
-    payload = blob[_PREFIX_LEN + header_len :]
-    expected_size = header["payload_size"]
-    if not isinstance(expected_size, int) or expected_size != len(payload):
-        raise SnapshotIntegrityError(
-            f"snapshot payload is {len(payload)} bytes, header declares "
-            f"{expected_size} — truncated or corrupt"
-        )
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header["payload_sha256"]:
-        raise SnapshotIntegrityError(
-            "snapshot payload checksum mismatch — the snapshot is corrupt"
-        )
-    return header, payload
+        fields["labels"] = labels
+    return _frame(MAGIC, fields, payload.getvalue())
 
 
 def _config_from_header(header: dict[str, Any]) -> SketchTreeConfig:
@@ -400,7 +436,7 @@ def snapshot_from_bytes(blob: bytes) -> SketchTree:
     returns a partially restored synopsis — when the blob is corrupt,
     truncated, of an unsupported version, or internally inconsistent.
     """
-    header, payload = _split_blob(blob)
+    header, payload = _unframe(blob, MAGIC)
     config = _config_from_header(header)
     synopsis = SketchTree(config)
     n_trees, n_values = header["n_trees"], header["n_values"]
@@ -419,32 +455,14 @@ def snapshot_from_bytes(blob: bytes) -> SketchTree:
 
 
 # ---------------------------------------------------------------------------
-# Window container format
+# Windows
 # ---------------------------------------------------------------------------
 
-_WINDOW_REQUIRED_KEYS = frozenset(
-    {
-        "format",
-        "format_version",
-        "config",
-        "fingerprint",
-        "window_trees",
-        "bucket_trees",
-        "n_trees_seen",
-        "n_refolds",
-        "n_refold_candidates",
-        "n_buckets",
-        "payload_size",
-        "payload_sha256",
-    }
-)
-
-
 def window_to_bytes(window: "WindowedSketchTree") -> bytes:
-    """Serialise a sliding window into the versioned container format.
+    """Serialise a sliding window into one ``SKTWSNP`` frame.
 
     Every retained bucket (complete buckets oldest-first, then the
-    in-progress one) becomes a nested :func:`snapshot_to_bytes` blob —
+    in-progress one) becomes a nested :func:`snapshot_to_bytes` frame —
     counters, per-bucket top-k tracker state, bookkeeping — so the
     restore compensates queries exactly like the saved window did.
     """
@@ -452,12 +470,7 @@ def window_to_bytes(window: "WindowedSketchTree") -> bytes:
         buckets = [*window._complete, window._current]
         n_trees_seen = window.n_trees_seen
     blobs = [snapshot_to_bytes(bucket) for bucket in buckets]
-    payload = b"".join(
-        len(blob).to_bytes(_HEADER_LEN_BYTES, "big") + blob for blob in blobs
-    )
-    header: dict[str, Any] = {
-        "format": _WINDOW_FORMAT_NAME,
-        "format_version": WINDOW_FORMAT_VERSION,
+    fields: dict[str, Any] = {
         "config": asdict(window.config),
         "fingerprint": config_fingerprint(window.config),
         "window_trees": window.window_trees,
@@ -466,75 +479,11 @@ def window_to_bytes(window: "WindowedSketchTree") -> bytes:
         "n_refolds": window.n_refolds,
         "n_refold_candidates": window.n_refold_candidates,
         "n_buckets": len(blobs),
-        "payload_size": len(payload),
-        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
-    header_bytes = json.dumps(
-        header, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return (
-        WINDOW_MAGIC
-        + len(header_bytes).to_bytes(_HEADER_LEN_BYTES, "big")
-        + header_bytes
-        + payload
+    payload = b"".join(
+        len(blob).to_bytes(_LENGTH_BYTES, "big") + blob for blob in blobs
     )
-
-
-def _split_window_blob(blob: bytes) -> tuple[dict[str, Any], bytes]:
-    """Validate window-container framing; return (header, payload)."""
-    if not blob.startswith(WINDOW_MAGIC[: min(len(blob), len(WINDOW_MAGIC))]) or not blob:
-        raise SnapshotFormatError(
-            "not a SketchTree window snapshot (bad magic)"
-        )
-    if len(blob) < _PREFIX_LEN:
-        raise SnapshotIntegrityError(
-            f"window snapshot truncated inside the {_PREFIX_LEN}-byte prefix"
-        )
-    header_len = int.from_bytes(blob[len(WINDOW_MAGIC) : _PREFIX_LEN], "big")
-    if _PREFIX_LEN + header_len > len(blob):
-        raise SnapshotIntegrityError(
-            "window snapshot truncated inside its header "
-            f"(need {header_len} bytes, have {len(blob) - _PREFIX_LEN})"
-        )
-    header_bytes = blob[_PREFIX_LEN : _PREFIX_LEN + header_len]
-    try:
-        header = json.loads(header_bytes.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise SnapshotFormatError(
-            f"window snapshot header is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(header, dict) or header.get("format") != _WINDOW_FORMAT_NAME:
-        raise SnapshotFormatError(
-            "window snapshot header is not a sketchtree-window-snapshot header"
-        )
-    version = header.get("format_version")
-    if not isinstance(version, int) or isinstance(version, bool):
-        raise SnapshotFormatError(
-            f"window format_version must be an integer, got {version!r}"
-        )
-    if version != WINDOW_FORMAT_VERSION:
-        raise SnapshotVersionError(
-            f"window snapshot format version {version} is not supported by "
-            f"this loader (supports exactly {WINDOW_FORMAT_VERSION})"
-        )
-    missing = _WINDOW_REQUIRED_KEYS - header.keys()
-    if missing:
-        raise SnapshotFormatError(
-            f"window snapshot header is missing keys: {sorted(missing)}"
-        )
-    payload = blob[_PREFIX_LEN + header_len :]
-    expected_size = header["payload_size"]
-    if not isinstance(expected_size, int) or expected_size != len(payload):
-        raise SnapshotIntegrityError(
-            f"window snapshot payload is {len(payload)} bytes, header "
-            f"declares {expected_size} — truncated or corrupt"
-        )
-    digest = hashlib.sha256(payload).hexdigest()
-    if digest != header["payload_sha256"]:
-        raise SnapshotIntegrityError(
-            "window snapshot payload checksum mismatch — the snapshot is corrupt"
-        )
-    return header, payload
+    return _frame(WINDOW_MAGIC, fields, payload)
 
 
 def window_from_bytes(blob: bytes) -> "WindowedSketchTree":
@@ -548,7 +497,7 @@ def window_from_bytes(blob: bytes) -> "WindowedSketchTree":
     """
     from repro.core.window import WindowedSketchTree
 
-    header, payload = _split_window_blob(blob)
+    header, payload = _unframe(blob, WINDOW_MAGIC)
     config = _config_from_header(header)
     for key in ("window_trees", "bucket_trees", "n_buckets"):
         count = header[key]
@@ -574,22 +523,11 @@ def window_from_bytes(blob: bytes) -> "WindowedSketchTree":
     buckets: list[SketchTree] = []
     offset = 0
     while offset < len(payload):
-        if offset + _HEADER_LEN_BYTES > len(payload):
-            raise SnapshotIntegrityError(
-                "window snapshot payload truncated inside a bucket length "
-                "prefix"
-            )
-        length = int.from_bytes(
-            payload[offset : offset + _HEADER_LEN_BYTES], "big"
-        )
-        offset += _HEADER_LEN_BYTES
-        if offset + length > len(payload):
-            raise SnapshotIntegrityError(
-                f"window snapshot payload truncated inside bucket "
-                f"{len(buckets)} (need {length} bytes)"
-            )
-        buckets.append(snapshot_from_bytes(payload[offset : offset + length]))
-        offset += length
+        # A length that runs past the payload leaves a short nested
+        # frame, which fails its own checks.
+        length = int.from_bytes(payload[offset : offset + _LENGTH_BYTES], "big")
+        offset += _LENGTH_BYTES + length
+        buckets.append(snapshot_from_bytes(payload[offset - length : offset]))
     if len(buckets) != header["n_buckets"]:
         raise SnapshotIntegrityError(
             f"window snapshot carries {len(buckets)} buckets, header "
@@ -668,14 +606,22 @@ def _serialise(synopsis: "SketchTree | WindowedSketchTree") -> bytes:
     )
 
 
+def _deserialise(blob: bytes) -> "SketchTree | WindowedSketchTree":
+    """Dispatch on the leading magic: plain snapshot or window container."""
+    if blob.startswith(WINDOW_MAGIC):
+        return window_from_bytes(blob)
+    return snapshot_from_bytes(blob)
+
+
 def save_snapshot(
     synopsis: "SketchTree | WindowedSketchTree", path: str | Path
 ) -> Path:
     """Write a snapshot atomically: temp file, fsync, then rename.
 
     A crash at any point leaves either the previous file or the new one,
-    never a torn mixture — the property periodic checkpointing relies on.
-    Accepts plain synopses and sliding windows (dispatching to the
+    never a torn mixture — the property periodic checkpointing relies on
+    (a crash before the rename also leaves the temp file, which
+    :class:`CheckpointManager`'s retention removes).  Accepts plain synopses and sliding windows (dispatching to the
     matching format; see the module docstring).
     """
     target = Path(path)
@@ -710,12 +656,7 @@ def load_snapshot(
     would silently produce garbage estimates, so a mismatch raises
     :class:`~repro.errors.SnapshotConfigError` instead.
     """
-    blob = Path(path).read_bytes()
-    synopsis: "SketchTree | WindowedSketchTree"
-    if blob.startswith(WINDOW_MAGIC):
-        synopsis = window_from_bytes(blob)
-    else:
-        synopsis = snapshot_from_bytes(blob)
+    synopsis = _deserialise(Path(path).read_bytes())
     if expected_config is not None and synopsis.config != expected_config:
         raise SnapshotConfigError(
             f"snapshot {path} was written with a different configuration "
@@ -767,11 +708,22 @@ class CheckpointManager:  # sketchlint: thread-safe
         #: Lifetime checkpoint saves through this manager (introspection;
         #: surfaced as a pull counter by callers that care).
         self.n_saves = 0
+        # This prefix's checkpoints, and the temp file save_snapshot
+        # leaves behind when a save is killed before its rename.  A
+        # longer prefix sharing the directory (``<prefix>-b``) matches
+        # neither.
+        name = re.escape(prefix) + r"-\d+" + re.escape(self.SUFFIX)
+        self._checkpoint = re.compile(name)
+        self._leftover = re.compile(rf"\.{name}\.\d+\.tmp")
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def paths(self) -> list[Path]:
         """Existing checkpoint files, oldest first."""
-        return sorted(self.directory.glob(f"{self.prefix}-*{self.SUFFIX}"))
+        return sorted(
+            path
+            for path in self.directory.iterdir()
+            if self._checkpoint.fullmatch(path.name)
+        )
 
     def latest_path(self) -> Path | None:
         """The newest checkpoint file, or ``None`` when none exist."""
@@ -809,13 +761,17 @@ class CheckpointManager:  # sketchlint: thread-safe
         return path
 
     def prune(self) -> None:
-        """Delete all but the newest ``keep_last`` checkpoints."""
+        """Delete all but the newest ``keep_last`` checkpoints, and any
+        temp file a killed save of this prefix left behind."""
         with self._lock:
             self._prune()
 
     def _prune(self) -> None:  # sketchlint: guarded-by=_lock
         for stale in self.paths()[: -self.keep_last]:
             stale.unlink(missing_ok=True)
+        for path in self.directory.iterdir():
+            if self._leftover.fullmatch(path.name):
+                path.unlink(missing_ok=True)
 
     def load(
         self,

@@ -489,6 +489,115 @@ class TestChunkingInvariance:
         assert chunked == [whole, whole]
 
 
+#: Normalisation settings, or none at all.
+NORMALIZE = st.none() | st.builds(
+    NormalizeOptions,
+    functions=st.sampled_from([None, "leave", "remove"]),
+    punct=st.sampled_from([None, "leave", "remove"]),
+    remove_empty=st.booleans(),
+)
+
+
+def _splice(parts: list[str], junk: list[tuple[float, str]]) -> list[str]:
+    """``parts`` with each piece of ``junk`` inserted at its fraction."""
+    parts = list(parts)
+    for at, piece in junk:
+        parts.insert(round(at * len(parts)), piece)
+    return parts
+
+
+def _bracketed(nested) -> str:
+    label, children = nested
+    if not children:
+        return label
+    return f"({label} {' '.join(map(_bracketed, children))})"
+
+
+#: Labels the normaliser rewrites or drops, and terminal tokens.
+_PTB_LABELS = st.sampled_from(
+    ["S", "NP-SBJ-1", "-NONE-", "*T*-1", "-LRB-", ",", "``", "x"]
+)
+#: Bracketed trees, one per line, with bracket, whitespace and label
+#: text spliced in between any two characters.
+PTB_TEXT = st.builds(
+    _splice,
+    st.lists(nested_trees(6, _PTB_LABELS).map(_bracketed), max_size=3)
+    .map("\n".join)
+    .map(list),
+    st.lists(
+        st.tuples(
+            st.floats(0, 1),
+            st.sampled_from(["(", ")", "( ", " ", "\n", "\t", "-NONE-", "="])
+            | st.text(max_size=3),
+        ),
+        max_size=3,
+    ),
+).map("".join)
+
+
+@st.composite
+def _export_sentence(draw) -> list[str]:
+    """One #BOS/#EOS block whose nodes hang under the root or any
+    nonterminal, cycles and self-parents included."""
+    n_nonterminals = draw(st.integers(0, 3))
+    parents = st.sampled_from([0, *range(500, 500 + n_nonterminals)])
+    tags = st.sampled_from(["NN", "NP", "S", "$.", "-NONE-"])
+    functions = st.sampled_from(["--", "SB", "HD"])
+    words = draw(st.lists(st.sampled_from(["w", "the", ",", "*T*"]), max_size=4))
+    names = [*words, *(f"#{500 + i}" for i in range(n_nonterminals))]
+    return [
+        "#BOS 1",
+        *(
+            f"{name}\t{draw(tags)}\t--\t{draw(functions)}\t{draw(parents)}"
+            for name in names
+        ),
+        "#EOS 1",
+    ]
+
+
+_EXPORT_FIELD = st.sampled_from(["w", "NN", "--", "0", "500", "#500", "-1", "x", ""])
+#: Export blocks with sentence delimiters, node lines of any width,
+#: comments and junk spliced in between any two lines.
+EXPORT_TEXT = st.builds(
+    _splice,
+    st.lists(_export_sentence(), max_size=3).map(lambda blocks: sum(blocks, [])),
+    st.lists(
+        st.tuples(
+            st.floats(0, 1),
+            st.builds("#BOS {}".format, st.sampled_from(["1", "2", "x", ""]))
+            | st.builds("#EOS {}".format, st.sampled_from(["1", "2", "x", ""]))
+            | st.lists(_EXPORT_FIELD, max_size=7).map("\t".join)
+            | st.sampled_from(["", "%% comment", "#FORMAT 4", "#BOS", "#EOS"])
+            | st.text(max_size=6),
+        ),
+        max_size=3,
+    ),
+).map("\n".join)
+
+
+class TestTreebankReadersRaiseOnlyCorpusParseError:
+    """Whatever text comes in, a reader yields trees or raises
+    :class:`CorpusParseError`; nothing else escapes."""
+
+    @given(PTB_TEXT, NORMALIZE)
+    @settings(max_examples=300, deadline=None)
+    def test_ptb(self, text, normalize):
+        try:
+            trees = parse_ptb(text, normalize=normalize)
+        except CorpusParseError:
+            return
+        assert all(isinstance(tree, LabeledTree) for tree in trees)
+
+    @given(EXPORT_TEXT, st.sampled_from([None, "add", "remove"]), NORMALIZE)
+    @settings(max_examples=300, deadline=None)
+    def test_export(self, text, functions, normalize):
+        try:
+            trees = parse_export(text, normalize=normalize, functions=functions)
+        except CorpusParseError:
+            return
+        assert all(isinstance(tree, LabeledTree) for tree in trees)
+
+
 # ---------------------------------------------------------------------------
 # CorpusReader: globs, encodings, option validation
 # ---------------------------------------------------------------------------

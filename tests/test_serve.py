@@ -22,26 +22,30 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SketchTreeConfig
 from repro.core.sketchtree import SketchTree
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ReproError
 from repro.obs.registry import MetricsRegistry
 import repro.serve.api as api_module
 from repro.serve.api import make_server
 from repro.serve.app import ServerApp, build_parser, run_from_args
 from repro.serve.models import (
+    ESTIMATE_KINDS,
     ApiError,
     parse_estimate_request,
     parse_ingest_request,
 )
 from repro.serve.service import ShardedService
 from repro.serve.shards import IngestShard, ShardFaultError
-from repro.trees import from_sexpr
+from repro.trees import from_sexpr, to_sexpr
 
 from .estimate_kinds import CONFIG as KINDS_CONFIG
 from .estimate_kinds import HTTP_REQUESTS, KINDS
 from .estimate_kinds import STREAM as KINDS_STREAM
+from .strategies import labeled_trees
 
 CONFIG = SketchTreeConfig(
     s1=40, s2=5, max_pattern_edges=3, n_virtual_streams=31, seed=7
@@ -184,6 +188,59 @@ class TestModels:
         assert parse_estimate_request("ordered", {"query": "(A)"}) == "(A)"
         with pytest.raises(ApiError):
             parse_estimate_request("ordered", {"queries": ["(A)"]})
+
+
+#: S-expressions, whole or cut anywhere.
+SEXPRS = st.builds(
+    lambda text, at: text[: round(at * len(text))],
+    labeled_trees(6).map(to_sexpr),
+    st.just(1.0) | st.floats(0, 1),
+)
+#: Any JSON value, with strings leaning towards s-expressions.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+    | SEXPRS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(max_size=4), kids, max_size=3),
+    max_leaves=12,
+)
+
+
+def _body(key: str, many: bool) -> st.SearchStrategy:
+    """A body whose ``key`` holds s-expressions, or any JSON value."""
+    value = SEXPRS | JSON_VALUES
+    if many:
+        value = st.lists(value, min_size=1, max_size=4) | JSON_VALUES
+    return st.fixed_dictionaries({key: value}) | JSON_VALUES
+
+
+class TestModelsRaiseOnlyTypedErrors:
+    """Any decoded JSON body is accepted or refused with a
+    :class:`ReproError`; nothing else escapes to the transport."""
+
+    @given(_body("trees", many=True))
+    @settings(max_examples=300, deadline=None)
+    def test_ingest_payloads(self, payload):
+        try:
+            trees = parse_ingest_request(payload)
+        except ReproError:
+            return
+        assert trees
+
+    @given(
+        st.sampled_from([*ESTIMATE_KINDS, "median", ""]),
+        _body("query", many=False) | _body("queries", many=True),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_estimate_payloads(self, kind, payload):
+        try:
+            parse_estimate_request(kind, payload)
+        except ReproError:
+            pass
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,14 @@ rejection of pickle blobs, and the canonical value-reduction regression
 for values at and beyond 2^31 - 1.
 """
 
+import hashlib
 import json
+import os
 import pickle
+import signal
+import subprocess
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -19,16 +25,22 @@ from hypothesis import strategies as st
 
 from repro import SketchTree, SketchTreeConfig
 from repro.core.snapshot import (
+    _DIGEST_LEN,
     FORMAT_VERSION,
     MAGIC,
+    WINDOW_MAGIC,
     CheckpointManager,
+    _deserialise,
+    _frame,
+    _unframe,
     config_fingerprint,
     load_snapshot,
     save_snapshot,
     snapshot_from_bytes,
-    snapshot_to_bytes,
 )
 from repro.core.topk import TopKTracker
+from repro.core.window import WindowedSketchTree
+from repro.datasets.dblp import DblpGenerator
 from repro.errors import (
     ConfigError,
     PatternError,
@@ -101,16 +113,11 @@ def assert_same_state(a: SketchTree, b: SketchTree):
 
 
 def rewrite_header(blob: bytes, mutate) -> bytes:
-    """Re-frame ``blob`` after applying ``mutate(header_dict)``."""
-    header_len = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 8], "big")
-    start = len(MAGIC) + 8
-    header = json.loads(blob[start : start + header_len])
-    payload = blob[start + header_len :]
+    """Re-frame ``blob`` after applying ``mutate(header_dict)``, so the
+    tampered header carries a valid digest."""
+    header, payload = _unframe(blob, MAGIC)
     mutate(header)
-    header_bytes = json.dumps(
-        header, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-    return MAGIC + len(header_bytes).to_bytes(8, "big") + header_bytes + payload
+    return _frame(MAGIC, header, payload)
 
 
 class TestRoundTrip:
@@ -178,6 +185,12 @@ class TestRoundTrip:
         restored = SketchTree.from_bytes(synopsis.to_bytes())
         assert_same_state(synopsis, restored)
 
+    def test_unframe_then_frame_is_the_identity(self):
+        window = WindowedSketchTree(FULL, window_trees=8, bucket_trees=4)
+        window.ingest([from_sexpr(text) for text in STREAM[:10]])
+        for magic, blob in [(MAGIC, build().to_bytes()), (WINDOW_MAGIC, window.to_bytes())]:
+            assert _frame(magic, *_unframe(blob, magic)) == blob
+
     @settings(max_examples=20, deadline=None)
     @given(st.lists(nested_trees(max_nodes=6), min_size=0, max_size=5))
     def test_round_trip_property(self, forest):
@@ -221,11 +234,11 @@ class TestRejection:
 
     def test_flipped_payload_byte_rejected(self):
         blob = bytearray(build(BASE, STREAM[:6]).to_bytes())
-        blob[-1] ^= 0xFF
+        blob[-1 - _DIGEST_LEN] ^= 0xFF  # the payload's last byte
         with pytest.raises(SnapshotIntegrityError, match="checksum"):
             snapshot_from_bytes(bytes(blob))
 
-    @pytest.mark.parametrize("version", [0, 2, FORMAT_VERSION + 7])
+    @pytest.mark.parametrize("version", [0, 1, FORMAT_VERSION + 7])
     def test_version_mismatch_rejected(self, version):
         blob = build(BASE, STREAM[:4]).to_bytes()
         tampered = rewrite_header(
@@ -233,6 +246,22 @@ class TestRejection:
         )
         with pytest.raises(SnapshotVersionError):
             snapshot_from_bytes(tampered)
+
+    def test_version_1_blob_is_refused(self):
+        # Version 1 had no trailing digest: its header carried the
+        # payload's size and SHA-256 instead.
+        header, payload = _unframe(build(BASE, STREAM[:4]).to_bytes(), MAGIC)
+        header.update(
+            format_version=1,
+            payload_size=len(payload),
+            payload_sha256=hashlib.sha256(payload).hexdigest(),
+        )
+        header_bytes = json.dumps(
+            header, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        v1 = MAGIC + len(header_bytes).to_bytes(8, "big") + header_bytes + payload
+        with pytest.raises(SnapshotIntegrityError, match="version 1"):
+            snapshot_from_bytes(v1)
 
     def test_non_integer_version_rejected(self):
         blob = build(BASE, STREAM[:4]).to_bytes()
@@ -311,23 +340,57 @@ class TestRejection:
             snapshot_from_bytes(tampered)
 
     def test_garbage_payload_rejected(self):
-        blob = build(BASE, STREAM[:4]).to_bytes()
-        header_len = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 8], "big")
-        start = len(MAGIC) + 8
-        header = json.loads(blob[start : start + header_len])
-        payload = b"this is not an npz archive"
-        import hashlib
-
-        header["payload_size"] = len(payload)
-        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-        header_bytes = json.dumps(
-            header, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        tampered = (
-            MAGIC + len(header_bytes).to_bytes(8, "big") + header_bytes + payload
-        )
+        header, _ = _unframe(build(BASE, STREAM[:4]).to_bytes(), MAGIC)
+        tampered = _frame(MAGIC, header, b"this is not an npz archive")
         with pytest.raises(SnapshotFormatError, match="npz"):
             snapshot_from_bytes(tampered)
+
+
+class TestEveryByteIsChecked:
+    """Every single-bit flip and every truncation of a synopsis frame and
+    of its window's frame is refused with a typed error — flips in the
+    header too (summary, tracker state, tree counts), which a digest
+    over the payload alone let through."""
+
+    CONFIG = SketchTreeConfig(
+        s1=4, s2=3, max_pattern_edges=3, n_virtual_streams=3, topk_size=2,
+        maintain_summary=True,
+    )
+
+    def blobs(self) -> list[bytes]:
+        trees = list(DblpGenerator(seed=1).generate(12))
+        synopsis = SketchTree(self.CONFIG)
+        synopsis.update_batch(trees)
+        window = WindowedSketchTree(self.CONFIG, window_trees=8, bucket_trees=4)
+        window.ingest(trees)
+        return [synopsis.to_bytes(), window.to_bytes()]
+
+    @staticmethod
+    def loads(blob: bytes) -> bool:
+        """Whether ``blob`` restores; any error but a SnapshotError escapes."""
+        try:
+            _deserialise(blob)
+        except SnapshotError:
+            return False
+        return True
+
+    def test_every_flip_and_cut_is_refused(self):
+        accepted = []
+        for blob in self.blobs():
+            assert self.loads(blob)
+            corrupt = bytearray(blob)
+            for position in range(len(blob)):
+                for bit in range(8):
+                    corrupt[position] ^= 1 << bit
+                    if self.loads(bytes(corrupt)):
+                        accepted.append((blob[:8], "flip", position, bit))
+                    corrupt[position] ^= 1 << bit
+            accepted += [
+                (blob[:8], "cut", cut)
+                for cut in range(len(blob))
+                if self.loads(blob[:cut])
+            ]
+        assert accepted == []
 
 
 class TestFiles:
@@ -382,6 +445,36 @@ class TestCheckpointManager:
         restored = manager.load_latest()
         assert restored is not None
         assert restored.n_trees == 2  # the newest *valid* checkpoint
+
+    def test_load_latest_skips_a_flipped_header_byte(self, tmp_path):
+        manager = CheckpointManager(tmp_path, keep_last=3)
+        synopsis = SketchTree(BASE)
+        for text in STREAM[:3]:
+            synopsis.update(from_sexpr(text))
+            manager.save(synopsis)
+        newest = manager.latest_path()
+        blob = bytearray(newest.read_bytes())
+        # "n_trees":3 becomes "n_trees":1 — a header that still parses and
+        # passes every field check; only the digest can tell.
+        blob[blob.index(b'"n_trees":3') + len(b'"n_trees":')] ^= 0x02
+        newest.write_bytes(bytes(blob))
+        restored = manager.load_latest()
+        assert restored is not None
+        assert restored.n_trees == 2
+
+    def test_overlapping_prefixes_keep_to_their_own_files(self, tmp_path):
+        short = CheckpointManager(tmp_path, keep_last=1, prefix="a")
+        long = CheckpointManager(tmp_path, keep_last=1, prefix="a-b")
+        synopsis = build(BASE, STREAM[:1])
+        long.save(synopsis)
+        in_flight = tmp_path / ".a-b-000000000009.sktsnap.1.tmp"
+        in_flight.write_bytes(b"")
+        synopsis.update(from_sexpr(STREAM[1]))
+        short.save(synopsis)
+        assert [p.name for p in short.paths()] == ["a-000000000002.sktsnap"]
+        assert [p.name for p in long.paths()] == ["a-b-000000000001.sktsnap"]
+        assert in_flight.exists()
+        assert short.load_latest().n_trees == 2
 
     def test_all_corrupt_raises(self, tmp_path):
         manager = CheckpointManager(tmp_path)
@@ -517,6 +610,85 @@ class TestStreamProcessorRecovery:
             resumed_names = [p.name for p in stats.snapshot_paths]
             assert crash_names + resumed_names == full_names
             assert_same_state(uninterrupted, recovered.consumers[0])
+
+
+#: Runs a checkpointed stream and SIGKILLs itself inside the save of
+#: checkpoint 20: after the temp file is written, after its fsync, or
+#: after the rename.  argv: the point, the directory, the config as JSON
+#: and the stream's s-expressions as JSON.
+_KILLED_SAVE = """
+import json, os, signal, sys
+
+from repro import SketchTree, SketchTreeConfig
+from repro.core import snapshot
+from repro.stream.engine import StreamProcessor
+from repro.trees import from_sexpr
+
+point, directory, config, texts = sys.argv[1:]
+write, replace = snapshot.save_snapshot, os.replace
+
+
+def die(*_):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def save_snapshot(synopsis, path):
+    if synopsis.n_trees == 20:
+        if point == "written":
+            os.fsync = die
+        elif point == "fsynced":
+            os.replace = die
+        else:
+            os.replace = lambda src, dst: (replace(src, dst), die())
+    return write(synopsis, path)
+
+
+snapshot.save_snapshot = save_snapshot
+StreamProcessor(
+    [SketchTree(SketchTreeConfig(**json.loads(config)))],
+    snapshot_every=10,
+    checkpoints=snapshot.CheckpointManager(directory, keep_last=5),
+).run(from_sexpr(text) for text in json.loads(texts))
+"""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="SIGKILL is POSIX")
+class TestKilledSave:
+    """A save killed at any point leaves the directory recoverable."""
+
+    TEXTS = STREAM * 2  # checkpoints at 10, 20, 30 and 40 trees
+
+    @pytest.mark.parametrize(
+        "point, survivor", [("written", 10), ("fsynced", 10), ("renamed", 20)]
+    )
+    def test_resume_after_a_killed_save(self, tmp_path, point, survivor):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run(
+            [
+                sys.executable, "-c", _KILLED_SAVE, point, str(tmp_path),
+                json.dumps(asdict(FULL)), json.dumps(self.TEXTS),
+            ],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == -signal.SIGKILL, done.stderr
+        leftovers = list(tmp_path.glob(".*.tmp"))
+        assert len(leftovers) == (0 if point == "renamed" else 1)
+
+        manager = CheckpointManager(tmp_path, keep_last=5)
+        restored = manager.load_latest(expected_config=FULL)
+        assert restored is not None and restored.n_trees == survivor
+
+        trees = [from_sexpr(text) for text in self.TEXTS]
+        uninterrupted = SketchTree(FULL)
+        StreamProcessor([uninterrupted]).run(trees)
+        resumed = StreamProcessor(
+            [SketchTree(FULL)], snapshot_every=10, checkpoints=manager
+        )
+        assert resumed.resume(trees).resumed_from == survivor
+        assert_same_state(uninterrupted, resumed.consumers[0])
+        # The resumed run's first save pruned the killed save's temp file.
+        assert list(tmp_path.glob(".*.tmp")) == []
 
 
 class TestTopKSnapshotRestore:
@@ -734,40 +906,30 @@ class TestPairingLabelNumbering:
         for query in ["(A (B))", "(X (Y))"]:
             assert restored.estimate_ordered(query) == window.estimate_ordered(query)
 
-    def test_window_buckets_numbering_labels_apart_are_refused(self):
-        import hashlib
-
-        from repro.core.snapshot import WINDOW_MAGIC, window_from_bytes
-        from repro.core.window import WindowedSketchTree
+    def test_window_buckets_numbering_labels_apart_are_refused(
+        self, monkeypatch
+    ):
+        from repro.core import snapshot
 
         window = WindowedSketchTree(self.CONFIG, window_trees=40, bucket_trees=20)
         window.ingest([from_sexpr(text) for text in self.TREES])
-        blob = window.to_bytes()
-        start = len(WINDOW_MAGIC) + 8
-        header_len = int.from_bytes(blob[len(WINDOW_MAGIC) : start], "big")
-        header = json.loads(blob[start : start + header_len])
-        payload, blobs = blob[start + header_len :], []
-        while payload:
-            length = int.from_bytes(payload[:8], "big")
-            blobs.append(payload[8 : 8 + length])
-            payload = payload[8 + length :]
-        # The complete bucket claims the in-progress bucket's labels in
-        # another order: the two cannot share one encoder.
-        blobs[0] = rewrite_header(
-            blobs[0], lambda h: h.__setitem__("labels", h["labels"][::-1])
-        )
-        payload = b"".join(len(b).to_bytes(8, "big") + b for b in blobs)
-        header["payload_size"] = len(payload)
-        header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
-        header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":"))
-        tampered = (
-            WINDOW_MAGIC
-            + len(header_bytes).to_bytes(8, "big")
-            + header_bytes.encode()
-            + payload
-        )
+        complete = window._live_buckets()[0]
+        write_bucket = snapshot.snapshot_to_bytes
+
+        def tampered_bucket(bucket):
+            # The complete bucket claims the in-progress bucket's labels
+            # in another order: the two cannot share one encoder.
+            blob = write_bucket(bucket)
+            if bucket is not complete:
+                return blob
+            return rewrite_header(
+                blob, lambda h: h.__setitem__("labels", h["labels"][::-1])
+            )
+
+        monkeypatch.setattr(snapshot, "snapshot_to_bytes", tampered_bucket)
+        tampered = window.to_bytes()
         with pytest.raises(SnapshotFormatError, match="numbers labels"):
-            window_from_bytes(tampered)
+            snapshot.window_from_bytes(tampered)
 
     def test_blob_without_numbering_is_refused(self):
         blob = SketchTree(self.CONFIG).to_bytes()
@@ -784,9 +946,7 @@ class TestPairingLabelNumbering:
 
     def test_rabin_blobs_carry_none_and_refuse_one(self):
         blob = build().to_bytes()
-        header_len = int.from_bytes(blob[len(MAGIC) : len(MAGIC) + 8], "big")
-        header = json.loads(blob[len(MAGIC) + 8 : len(MAGIC) + 8 + header_len])
-        assert "labels" not in header
+        assert "labels" not in _unframe(blob, MAGIC)[0]
         assert_same_state(build(), snapshot_from_bytes(blob))
         tampered = rewrite_header(blob, lambda h: h.__setitem__("labels", ["A"]))
         with pytest.raises(SnapshotFormatError, match="label numbering"):
