@@ -42,9 +42,7 @@ def main() -> None:
     blobs = [node.to_bytes() for node in nodes]
     print(f"snapshot sizes: {[len(b) // 1024 for b in blobs]} KB")
     restored = [SketchTree.from_bytes(blob) for blob in blobs]
-    merged = restored[0]
-    for node in restored[1:]:
-        merged = merged.merge(node)
+    merged = restored[0].merge(*restored[1:])
     print(f"merged: {merged.n_trees} trees, {merged.n_values} occurrences\n")
 
     # --- merged synopsis answers like a single-node one ---------------

@@ -39,8 +39,9 @@ from repro.hashing.rabin import RabinFingerprint
 from repro.prufer.sequences import _extended_postorder
 from repro.trees.tree import Nested
 
-#: Default bound on distinct patterns memoised by a PatternEncoder.
-DEFAULT_CACHE_LIMIT = 1 << 20
+#: Distinct patterns a PatternEncoder memoises before evicting the least
+#: recently used.
+PATTERN_CACHE_LIMIT = 1 << 20
 
 
 class PatternEncoder:  # sketchlint: thread-safe
@@ -48,9 +49,9 @@ class PatternEncoder:  # sketchlint: thread-safe
 
     Deterministic given ``(mapping, degree, seed)``; two encoders built
     with the same parameters agree on every pattern, which is what lets a
-    query-time encoder reproduce stream-time values.  ``cache_limit``
-    bounds the LRU memo (``None`` = unbounded); it is purely a
-    performance knob and never affects encoded values.
+    query-time encoder reproduce stream-time values.  The LRU memo holds
+    at most :data:`PATTERN_CACHE_LIMIT` patterns; its size never affects
+    an encoded value.
 
     Thread-safe: one mutex serialises the whole probe → encode → insert →
     stats sequence, taken **once per call** — so :meth:`encode_batch`
@@ -64,14 +65,10 @@ class PatternEncoder:  # sketchlint: thread-safe
         mapping: str = "rabin",
         degree: int = 31,
         seed: int = 0,
-        cache_limit: int | None = DEFAULT_CACHE_LIMIT,
     ):
         if mapping not in ("rabin", "pairing"):
             raise ConfigError(f"unknown mapping {mapping!r}")
-        if cache_limit is not None and cache_limit < 1:
-            raise ConfigError(f"cache_limit must be >= 1 or None, got {cache_limit}")
         self.mapping = mapping
-        self.cache_limit = cache_limit
         if mapping == "rabin":
             # Independent polynomials for the sequence and the labels, both
             # derived from the master seed.
@@ -104,7 +101,7 @@ class PatternEncoder:  # sketchlint: thread-safe
     def _remember(self, pattern: Nested, value: int) -> None:  # sketchlint: guarded-by=_lock
         cache = self._cache
         cache[pattern] = value
-        if self.cache_limit is not None and len(cache) > self.cache_limit:
+        if len(cache) > PATTERN_CACHE_LIMIT:
             cache.popitem(last=False)
 
     def _sequence_of(self, pattern: Nested) -> list[int]:
@@ -219,7 +216,8 @@ class PatternEncoder:  # sketchlint: thread-safe
 
     @property
     def cache_size(self) -> int:
-        """Distinct patterns currently memoised (≤ ``cache_limit``)."""
+        """Distinct patterns currently memoised (at most
+        :data:`PATTERN_CACHE_LIMIT`)."""
         return len(self._cache)
 
     @property

@@ -45,7 +45,7 @@ from repro.core.config import TOPK_RNG_SALT, XI_SEED_OFFSET, SketchTreeConfig
 from repro.core.encoding import PatternEncoder
 from repro.core.memory import MemoryReport
 from repro.core.topk import fold_vector
-from repro.core.view import CounterView, Queries, check_composable, coerce_pattern
+from repro.core.view import CounterView, Queries, coerce_pattern
 from repro.core.virtual import VirtualStreams
 from repro.enumtree.enumerate import PatternTableMemo, collect_forest_patterns
 from repro.errors import ConfigError
@@ -225,12 +225,7 @@ class SketchTree(Queries):  # sketchlint: single-writer
             obs.gauge(
                 "topk_deleted_self_join_mass",
                 help="self-join mass currently deleted from the sketches",
-                fn=lambda: float(
-                    sum(
-                        tracker.deleted_self_join_mass()
-                        for _, tracker in streams.iter_trackers()
-                    )
-                ),
+                fn=lambda: float(self.deleted_self_join_mass()),
             )
 
     @property
@@ -540,41 +535,6 @@ class SketchTree(Queries):  # sketchlint: single-writer
     # ------------------------------------------------------------------
     # Introspection / persistence
     # ------------------------------------------------------------------
-    def _tracker_items(self) -> list:
-        """Snapshot the ``(residue, tracker)`` pairs, retry-safe.
-
-        The writer thread allocates trackers while readers may be
-        iterating the stream table; a mid-scan allocation raises
-        ``RuntimeError``, and retrying until a clean pass is sound (the
-        GIL makes each step atomic, and allocations are rare).
-        """
-        for _ in range(8):
-            try:
-                return list(self._streams.iter_trackers())
-            except RuntimeError:
-                continue
-        return list(self._streams.iter_trackers())
-
-    def tracked(self) -> dict[int, int]:
-        """Tracked value → deleted-frequency map across virtual streams.
-
-        Empty when ``topk_size=0``.  The raw form of the "heavy
-        hitters" list — see :meth:`tracked_patterns` for the named one.
-        """
-        total: dict[int, int] = {}
-        for _, tracker in self._tracker_items():
-            total.update(tracker.tracked)
-        return total
-
-    def deleted_self_join_mass(self) -> int:
-        """``Σ f_v²`` over tracked values across streams — the self-join
-        mass the trackers hold out of the counters (what the Section 5.2
-        optimisation bought).  0 when ``topk_size=0``."""
-        return sum(
-            tracker.deleted_self_join_mass()
-            for _, tracker in self._tracker_items()
-        )
-
     def memory_report(self) -> MemoryReport:
         """Paper-style memory accounting (see :mod:`repro.core.memory`)."""
         cfg = self.config
@@ -612,62 +572,49 @@ class SketchTree(Queries):  # sketchlint: single-writer
         twin._encoder = self._encoder
         return twin
 
-    def merge(self, other: "SketchTree") -> "SketchTree":
-        """Merge another synopsis built with the *same config and seed*
-        over a disjoint sub-stream (distributed-ingest scenario).
+    def merge(self, *others: "SketchTree") -> "SketchTree":
+        """One synopsis over this one's and ``others``' sub-streams.
 
-        The result shares this synopsis' encoder; pairing-encoded
+        Every operand must share this one's config and seed and cover a
+        disjoint sub-stream (distributed ingest, window buckets, serving
+        shards).  The result shares this synopsis' encoder; pairing
         operands must share one (:class:`~repro.errors.ConfigError`
         otherwise), since each pairing encoder numbers labels in
-        first-seen order.
+        first-seen order.  Operands are never mutated, and must be
+        quiesced: the serving tier's admin thread merges idle shards.
 
-        This is the cross-thread combination point of the serving tier:
-        each shard's ingest thread owns its synopsis; a query/admin
-        thread merges *quiesced* shards (no in-flight updates) into a
-        fresh synopsis.  Because counters are exact int64 sums and every
-        shard shares one ξ family, the merge is bit-identical to a
-        single-threaded run over the concatenated stream (AMS
-        linearity) — pinned by ``tests/test_thread_safety.py``.
-
-        Top-k-bearing operands compose through the fold/unfold protocol
-        (:mod:`repro.core.topk`): the summed counters are *unfolded* —
-        each source's tracked frequencies are added back into the merged
-        copy, restoring the pure linear counters of the concatenated
-        stream bit-exactly — and a fresh tracker is *refolded* per
-        stream over the union of the sources' tracked values.  The
-        operands themselves are never mutated (shards keep serving), so
-        the unfold is applied to the merged copy via each source's fold
-        vector rather than by calling ``unfold()`` on live trackers.
+        Counters are exact int64 sums over one ξ family, so they are
+        bit-identical to one run over the concatenated stream (AMS
+        linearity, pinned by ``tests/test_thread_safety.py``).  Top-k
+        state composes through the fold/unfold protocol
+        (:mod:`repro.core.topk`) once over all operands: tracked
+        frequencies add per value (:meth:`CounterView.tracked`), that
+        sum is *unfolded* into the merged copy, restoring the linear
+        counters, and each stream's tracker is *refolded* once over the
+        union of the operands' tracked values.  A refold is not
+        associative: ``a.merge(b).merge(c)`` refolds twice and may
+        track other values than ``a.merge(b, c)``.
         """
-        check_composable(self, other)
+        sources = (self, *others)
+        view = CounterView(sources)
         merged = self.empty_like()
-        for source in (self, other):
+        for source in sources:
             for residue, matrix in source._streams.iter_sketches():
                 merged._streams.sketch(residue).counters += matrix.counters
-        if self.config.topk_size:
-            candidates: dict[int, dict[int, int]] = {}
-            for source in (self, other):
-                for residue, tracker in source._streams.iter_trackers():
-                    state = tracker.tracked
-                    if not state:
-                        continue
-                    union = candidates.setdefault(residue, {})
-                    for value, freq in state.items():
-                        # Frequencies of a value tracked on both sides
-                        # add: each side deleted its own count of it.
-                        union[value] = union.get(value, 0) + freq
-            for residue, state in candidates.items():
-                sketch = merged._streams.sketch(residue)
-                sketch.counters += fold_vector(sketch, state)  # unfold
-                merged._streams.refold_tracker(residue, state)
-        merged.n_trees = self.n_trees + other.n_trees
-        merged.n_values = self.n_values + other.n_values
-        if self.summary is not None and other.summary is not None:
+        candidates: dict[int, dict[int, int]] = {}
+        for value, freq in view.tracked().items():
+            candidates.setdefault(merged._streams.residue(value), {})[value] = freq
+        for residue, state in candidates.items():
+            sketch = merged._streams.sketch(residue)
+            sketch.counters += fold_vector(sketch, state)  # unfold
+            merged._streams.refold_tracker(residue, state)
+        merged.n_trees = sum(source.n_trees for source in sources)
+        merged.n_values = sum(source.n_values for source in sources)
+        for source in sources:
             # The dataguide of a union of streams is the union of the
-            # tries, so the merged synopsis answers extended queries
-            # exactly as a single-node run over both streams would.
-            # (One config means both carry a summary or neither does.)
-            merged.summary = self.summary.merge(other.summary)
+            # tries (one config: every operand keeps one or none does).
+            if merged.summary is not None and source.summary is not None:
+                merged.summary.update(source.summary)
         return merged
 
     def to_bytes(self) -> bytes:

@@ -88,6 +88,7 @@ import re
 import threading
 import time
 import zipfile
+import zlib
 from collections import deque
 from dataclasses import asdict
 from pathlib import Path
@@ -315,10 +316,19 @@ def _config_from_header(header: dict[str, Any]) -> SketchTreeConfig:
     return config
 
 
+#: What a damaged npz archive or member raises when opened or read: a
+#: bad zip record or CRC, a bad deflate stream, an unsupported method,
+#: version or encryption flag (``NotImplementedError`` is a
+#: ``RuntimeError``), a short or misplaced read, a bad ``.npy`` header.
+_NPZ_ERRORS = (
+    ValueError, OSError, EOFError, RuntimeError, zipfile.BadZipFile, zlib.error
+)
+
+
 def _restore_counters(synopsis: SketchTree, payload: bytes) -> None:
     try:
         npz = np.load(io.BytesIO(payload), allow_pickle=False)
-    except (ValueError, OSError, zipfile.BadZipFile) as exc:
+    except _NPZ_ERRORS as exc:
         raise SnapshotFormatError(
             f"snapshot payload is not a readable npz archive: {exc}"
         ) from exc
@@ -331,7 +341,7 @@ def _restore_counters(synopsis: SketchTree, payload: bytes) -> None:
                 )
             try:
                 synopsis.streams.set_counters(int(residue_text), npz[name])
-            except ConfigError as exc:
+            except (ConfigError, *_NPZ_ERRORS) as exc:
                 raise SnapshotFormatError(
                     f"snapshot counters for {name!r} are invalid: {exc}"
                 ) from exc

@@ -56,6 +56,10 @@ from repro.sketch.ams import SketchMatrix
 #: every partial float64 sum of a group is then an integer below 2^53.
 EXACT_SUM_LIMIT = 1 << 52
 
+#: :meth:`TopKTracker.bulk_build` replays Algorithm 4 on this many
+#: candidates per tracked slot, largest estimates first.
+BULK_CANDIDATE_FACTOR = 2
+
 
 def _group_sums(
     signs: np.ndarray, counters: np.ndarray, s2: int, s1: int
@@ -242,15 +246,15 @@ class TopKTracker:  # sketchlint: thread-safe
                 sketch.update(*evicted)
                 bound += evicted[1]
 
-    def bulk_build(self, values: list[int], candidate_factor: int = 2) -> None:
+    def bulk_build(self, values: list[int]) -> None:
         """Emulate the end-of-stream tracker state over distinct values.
 
         Estimates every value's frequency in one vectorised pass, then
-        replays Algorithm 4 on the top ``candidate_factor × size``
-        candidates in descending estimated order.  By the end of a real
-        stream, the tracker holds the values with the largest estimated
-        frequencies — exactly what this produces — without paying the
-        per-occurrence cost; the experiment sweeps rely on it.
+        replays Algorithm 4 on the top :data:`BULK_CANDIDATE_FACTOR` ×
+        ``size`` candidates in descending estimated order.  By the end of
+        a real stream, the tracker holds the values with the largest
+        estimated frequencies — exactly what this produces — without
+        paying the per-occurrence cost; the experiment sweeps rely on it.
         """
         if not values:
             return
@@ -258,7 +262,7 @@ class TopKTracker:  # sketchlint: thread-safe
         with self._lock:
             estimates = self.sketch.estimate_batch(arr)
             order = np.argsort(-estimates)
-            limit = min(len(values), candidate_factor * self.size)
+            limit = min(len(values), BULK_CANDIDATE_FACTOR * self.size)
             for index in order[:limit]:
                 if estimates[index] <= 0:
                     break

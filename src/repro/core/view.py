@@ -6,11 +6,12 @@ window's buckets or of the serving tier's shards are exactly those of
 one synopsis over all their trees, and each source's top-k
 ``adjustment`` adds back exactly what its own tracker deleted.
 :class:`CounterView` carries every estimator once over such sums (or
-over one synopsis' own matrices, uncopied); :class:`Queries` gives
-synopses and windows their ``estimate_*`` names.  The sum needs one
-encoding: pairing numbers labels in first-seen order per encoder, so
-pairing synopses compose only when they share one
-(:func:`check_composable`).
+over one synopsis' own matrices, uncopied), and every union of the
+sources' tracked state (frequencies add per value); :class:`Queries`
+gives synopses and windows their ``estimate_*`` and ``tracked*``
+names.  The sum needs one encoding: pairing numbers labels in
+first-seen order per encoder, so pairing synopses compose only when
+they share one (:func:`check_composable`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from repro.core.encoding import PatternEncoder
 from repro.core.expressions import Expression, required_independence
 from repro.core.intervals import Interval, chebyshev_half_width
+from repro.core.topk import TopKTracker
 from repro.errors import ConfigError, QueryError
 from repro.query.pattern import (
     OR_SEPARATOR,
@@ -268,6 +270,64 @@ class CounterView(CounterReads):
             union.update(summary)
         return union
 
+    def _trackers(self) -> list[TopKTracker]:
+        """Every source's top-k trackers, read retry-safe: a writer may
+        allocate one mid-scan (``RuntimeError``), and retrying is sound,
+        since the GIL makes each step atomic and allocations are rare."""
+        trackers: list[TopKTracker] = []
+        for streams in self._streams:
+            for _ in range(8):
+                try:
+                    table = list(streams.iter_trackers())
+                    break
+                except RuntimeError:
+                    continue
+            else:
+                table = list(streams.iter_trackers())
+            trackers.extend(tracker for _, tracker in table)
+        return trackers
+
+    def tracked(self) -> dict[int, int]:
+        """Tracked value → deleted frequency, summed per value across the
+        sources, each of which deleted its own count (empty with
+        ``topk_size=0``); :meth:`tracked_patterns` ranks and names it."""
+        total: dict[int, int] = {}
+        for tracker in self._trackers():
+            for value, freq in tracker.tracked.items():
+                total[value] = total.get(value, 0) + freq
+        return total
+
+    def deleted_self_join_mass(self) -> int:
+        """``Σ f_v²`` over every source's tracked values: the self-join
+        mass the trackers hold out of the counters (what the Section 5.2
+        optimisation bought).  0 with ``topk_size=0``."""
+        return sum(tracker.deleted_self_join_mass() for tracker in self._trackers())
+
+    def lookup_values(self, values: Iterable[int]) -> dict[int, Nested]:
+        """Value → pattern names from the sources' encoders, each distinct
+        one asked once, in source order, for the values still unnamed
+        (best effort: :meth:`PatternEncoder.lookup_values`)."""
+        missing = list(dict.fromkeys(values))
+        names: dict[int, Nested] = {}
+        for encoder in dict.fromkeys(source.encoder for source in self.sources):
+            if not missing:
+                break
+            names.update(encoder.lookup_values(missing))
+            missing = [value for value in missing if value not in names]
+        return names
+
+    def tracked_patterns(self, limit: int | None = None) -> list[dict]:
+        """The first ``limit`` :meth:`tracked` values, most frequent
+        first: each entry's ``value``, ``frequency`` and ``pattern``
+        (``None`` once no source encoder names it: still servable)."""
+        ranked = sorted(self.tracked().items(), key=lambda kv: (-kv[1], kv[0]))
+        ranked = ranked[:limit]
+        names = self.lookup_values(value for value, _ in ranked)
+        return [
+            {"value": value, "frequency": freq, "pattern": names.get(value)}
+            for value, freq in ranked
+        ]
+
     def estimate_ordered(self, query) -> float:
         """Approximate ``COUNT_ord(Q)`` (Theorem 1 estimator)."""
         value = self.encoder.encode(self._checked(query))
@@ -435,34 +495,24 @@ class CounterView(CounterReads):
 
 class Queries:
     """The read surface of anything with a ``view()``: each ``estimate_*``
-    call runs the :class:`CounterView` estimator documented there."""
+    and tracked-state call runs the :class:`CounterView` method
+    documented there."""
 
     def view(self) -> CounterView:
         """The summed counters every estimate reads."""
         raise NotImplementedError
 
     def tracked(self) -> dict[int, int]:
-        """Tracked value → deleted frequency (empty with ``topk_size=0``)."""
-        raise NotImplementedError
+        """:meth:`CounterView.tracked` on :meth:`view`."""
+        return self.view().tracked()
+
+    def deleted_self_join_mass(self) -> int:
+        """:meth:`CounterView.deleted_self_join_mass` on :meth:`view`."""
+        return self.view().deleted_self_join_mass()
 
     def tracked_patterns(self, limit: int | None = None) -> list[dict]:
-        """The tracked patterns, most frequent first.
-
-        Each entry carries the encoded ``value``, its :meth:`tracked`
-        ``frequency``, and the decoded ``pattern`` nested tuple when the
-        encoder still memoises it (``None`` after LRU eviction, or on a
-        merged synopsis whose encoder never saw the merged-in streams —
-        the value is still servable, just nameless; callers with access
-        to the ingesting encoders can re-resolve).
-        """
-        ranked = sorted(self.tracked().items(), key=lambda kv: (-kv[1], kv[0]))
-        if limit is not None:
-            ranked = ranked[:limit]
-        names = self.view().encoder.lookup_values([value for value, _ in ranked])
-        return [
-            {"value": value, "frequency": freq, "pattern": names.get(value)}
-            for value, freq in ranked
-        ]
+        """:meth:`CounterView.tracked_patterns` on :meth:`view`."""
+        return self.view().tracked_patterns(limit)
 
     def estimate_ordered(self, query) -> float:
         """:meth:`CounterView.estimate_ordered` on :meth:`view`."""

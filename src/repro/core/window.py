@@ -221,42 +221,15 @@ class WindowedSketchTree(Queries):  # sketchlint: single-writer
     def merged(self) -> SketchTree:
         """The live buckets collapsed into one fresh synopsis.
 
-        :meth:`~repro.core.sketchtree.SketchTree.merge` composes the
-        buckets — including per-bucket top-k state, via the fold/unfold
-        protocol — into a synopsis equivalent to one fed the window's
-        trees (bit-identical counters once unfolded; the refolded
-        tracker re-selects the heavy hitters of the combined stream).
-        The returned synopsis is a snapshot-in-time copy — later window
-        updates do not flow into it.
+        One :meth:`~repro.core.sketchtree.SketchTree.merge` over every
+        live bucket — per-bucket top-k state included, via the
+        fold/unfold protocol — gives a synopsis equivalent to one fed
+        the window's trees (bit-identical counters once unfolded; each
+        stream's tracker is refolded once over the buckets' tracked
+        values).  The returned synopsis is a snapshot-in-time copy —
+        later window updates do not flow into it.
         """
-        combined = self._current.empty_like()
-        for bucket in self._live_buckets():
-            combined = combined.merge(bucket)
-        return combined
-
-    # ------------------------------------------------------------------
-    # Top-k introspection (the live windowed-trend surface)
-    # ------------------------------------------------------------------
-    def tracked(self) -> dict[int, int]:
-        """Tracked value → deleted-frequency map, summed across buckets.
-
-        Each bucket deleted its own occurrences of a value, so the sums
-        are the window's total tracked mass per value — the raw form of
-        the "trending patterns" list.
-        """
-        total: dict[int, int] = {}
-        for bucket in self._live_buckets():
-            for value, freq in bucket.tracked().items():
-                total[value] = total.get(value, 0) + freq
-        return total
-
-    def deleted_self_join_mass(self) -> int:
-        """``Σ f_v²`` over tracked values, summed across live buckets —
-        the self-join mass the window's trackers hold out of the
-        counters (what the Section 5.2 optimisation bought)."""
-        return sum(
-            bucket.deleted_self_join_mass() for bucket in self._live_buckets()
-        )
+        return SketchTree.merge(*(self._live_buckets() or [self._current]))
 
     # ------------------------------------------------------------------
     # Observability

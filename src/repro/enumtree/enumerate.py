@@ -42,6 +42,10 @@ from repro.trees.tree import LabeledTree, Nested
 #: with exactly ``j`` edges (``table[0]`` is the single bare-leaf entry).
 NodeTable = list  # list[list[Nested]]
 
+#: Subtree shapes a :class:`PatternTableMemo` interns before it flushes
+#: (between trees, so by at most one tree's nodes past the bound).
+MEMO_SHAPE_LIMIT = 1 << 16
+
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` non-negative integers summing to ``total``.
@@ -88,18 +92,15 @@ class PatternTableMemo:  # sketchlint: single-writer
     generation, and clearing mid-tree would let a fresh id collide with a
     stale child reference.  :meth:`tables_of` therefore flushes on entry
     (i.e. between trees by construction) once the interned shape universe
-    exceeds ``limit``.
+    exceeds :data:`MEMO_SHAPE_LIMIT`.
 
     Single-writer, like the synopsis that owns it: only ingest paths
     (``update*`` / ``delete_tree``) touch the memo, never ``estimate_*``.
     """
 
-    __slots__ = ("limit", "hits", "misses", "flushes", "_ids", "_tables")
+    __slots__ = ("hits", "misses", "flushes", "_ids", "_tables")
 
-    def __init__(self, limit: int = 1 << 16):
-        if limit < 1:
-            raise ConfigError(f"memo limit must be >= 1, got {limit}")
-        self.limit = limit
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         self.flushes = 0
@@ -118,7 +119,7 @@ class PatternTableMemo:  # sketchlint: single-writer
         every memo hit returns a table produced by ``node_table`` on an
         identical ``(label, child tables)`` input.
         """
-        if len(self._ids) > self.limit:
+        if len(self._ids) > MEMO_SHAPE_LIMIT:
             self._ids.clear()
             self._tables.clear()
             self.flushes += 1

@@ -229,12 +229,7 @@ class ShardedService:  # sketchlint: thread-safe
                 "serve_topk_deleted_self_join_mass",
                 help="self-join mass held out of the whole-stream counters "
                 "by the shards' top-k trackers",
-                fn=lambda: float(
-                    sum(
-                        shard.synopsis.deleted_self_join_mass()
-                        for shard in shards
-                    )
-                ),
+                fn=lambda: float(self.view().deleted_self_join_mass()),
             )
         if self.window_trees:
             obs.gauge(
@@ -261,13 +256,7 @@ class ShardedService:  # sketchlint: thread-safe
                     "serve_window_topk_deleted_self_join_mass",
                     help="self-join mass deleted by the live window "
                     "buckets' trackers, summed across shards",
-                    fn=lambda: float(
-                        sum(
-                            shard.window.deleted_self_join_mass()
-                            for shard in shards
-                            if shard.window is not None
-                        )
-                    ),
+                    fn=lambda: float(self._window_view().deleted_self_join_mass()),
                 )
 
     def health(self) -> dict:
@@ -456,52 +445,40 @@ class ShardedService:  # sketchlint: thread-safe
             shard.window for shard in self.shards if shard.window is not None
         ]
 
+    def _window_view(self) -> CounterView:
+        """One view over every shard window's live buckets (or a 409)."""
+        return CounterView([b for w in self._windows() for b in w.view().sources])
+
     def window_estimate(self, kind: str, parsed: object) -> dict:
         """A ``/window/estimate/<kind>`` request: the same estimators as
         :meth:`estimate`, over every shard window's live buckets."""
-        windows = self._windows()
-        view = CounterView([b for w in windows for b in w.view().sources])
+        view = self._window_view()
         return {
             "kind": kind,
             "estimate": _ESTIMATORS[kind](view, parsed),
             "window_trees": self.window_trees,
-            "trees_covered": sum(w.window_size_actual for w in windows),
+            "trees_covered": sum(bucket.n_trees for bucket in view.sources),
             "faulted_shards": self.faulted_shards(),
         }
 
     def window_topk(self, limit: int | None = None) -> dict:
         """``GET /window/topk``: the live window's trending patterns.
 
-        Aggregates every shard window's tracked-pattern list (each shard
-        windows its own sub-stream; tracked frequencies of the same
-        value add across shards, exactly as in a tracker merge) without
-        quiescing — the racy-benign read semantics of the whole tier.
+        One view over every shard window's live buckets (each shard
+        windows its own sub-stream) sums tracked frequencies per value
+        and names them from every window's encoder, without quiescing:
+        the racy-benign read semantics of the whole tier.
         """
-        windows = self._windows()
+        view = self._window_view()
         if not self.config.topk_size:
             raise ApiError(
                 "top-k tracking disabled (topk_size=0, see --topk)",
                 status=409,
             )
-        merged: dict[int, dict] = {}
-        for window in windows:
-            for entry in window.tracked_patterns():
-                slot = merged.get(entry["value"])
-                if slot is None:
-                    merged[entry["value"]] = dict(entry)
-                else:
-                    slot["frequency"] += entry["frequency"]
-                    if slot["pattern"] is None:
-                        slot["pattern"] = entry["pattern"]
-        ranked = sorted(
-            merged.values(), key=lambda e: (-e["frequency"], e["value"])
-        )
-        if limit is not None:
-            ranked = ranked[:limit]
         return {
             "window_trees": self.window_trees,
-            "trees_covered": sum(w.window_size_actual for w in windows),
-            "patterns": render_topk_entries(ranked),
+            "trees_covered": sum(bucket.n_trees for bucket in view.sources),
+            "patterns": render_topk_entries(view.tracked_patterns(limit)),
         }
 
     # ------------------------------------------------------------------
@@ -511,17 +488,16 @@ class ShardedService:  # sketchlint: thread-safe
         """Quiesce the shards and merge them into one fresh synopsis.
 
         Holds the admin gate (stalling new ingest), drains every queue
-        to empty — so no updates are in flight — then ``merge()``s the
-        shard synopses.  By linearity the result is bit-identical to a
-        single-threaded synopsis over the concatenated stream; the
-        caller owns the returned copy, which no shard mutates later.
+        to empty — so no updates are in flight — then runs one
+        :meth:`SketchTree.merge` over every shard synopsis.  By
+        linearity its counters are bit-identical to a single-threaded
+        synopsis over the concatenated stream; the caller owns the
+        returned copy, whose counters and trackers no shard mutates
+        later (it shares the first shard's thread-safe encoder).
         """
         with self._gate:
             self._quiesce()
-            merged = SketchTree(self.config)
-            for shard in self.shards:
-                merged = merged.merge(shard.synopsis)
-            return merged
+            return SketchTree.merge(*(shard.synopsis for shard in self.shards))
 
     def admin_estimate(self, kind: str, parsed: object) -> dict:
         """Quiesce, then answer from the same view as :meth:`estimate`:
@@ -541,13 +517,12 @@ class ShardedService:  # sketchlint: thread-safe
     def topk(self, limit: int | None = None) -> dict:
         """``GET /admin/topk``: the whole stream's heavy hitters, exact-merged.
 
-        Quiesces the shards and merges them (fold/unfold composition of
-        the per-shard trackers, see :meth:`SketchTree.merge`), then
+        Quiesces the shards and merges them (one fold/unfold composition
+        of the per-shard trackers, see :meth:`SketchTree.merge`), then
         lists the merged trackers' state — the heavy hitters the
-        refolded trackers selected over the *combined* stream.  The
-        merged synopsis' encoder is fresh, so pattern names are
-        re-resolved from the shard encoders that actually saw the
-        stream.
+        refolded trackers selected over the *combined* stream — named by
+        every shard encoder that saw the stream
+        (:meth:`~repro.core.view.CounterView.lookup_values`).
         """
         if not self.config.topk_size:
             raise ApiError(
@@ -556,16 +531,9 @@ class ShardedService:  # sketchlint: thread-safe
             )
         merged = self.merged_synopsis()
         entries = merged.tracked_patterns(limit)
-        missing = [e["value"] for e in entries if e["pattern"] is None]
-        names: dict[int, object] = {}
-        for shard in self.shards:
-            if not missing:
-                break
-            names.update(shard.synopsis.encoder.lookup_values(missing))
-            missing = [v for v in missing if v not in names]
+        names = self.view().lookup_values(entry["value"] for entry in entries)
         for entry in entries:
-            if entry["pattern"] is None:
-                entry["pattern"] = names.get(entry["value"])
+            entry["pattern"] = names.get(entry["value"])
         return {
             "merged": True,
             "n_trees": merged.n_trees,

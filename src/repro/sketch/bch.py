@@ -29,6 +29,12 @@ from repro.hashing.gf2 import gf2_mulmod, random_irreducible
 from repro.hashing.rng import default_generator
 from repro.sketch.xi import _TILE
 
+#: Field values whose cube is memoised before the cache is cleared.  A
+#: cube is a pure function of the value, so a flush costs recomputation,
+#: never a ξ sign, and an unbounded value stream cannot grow the cache
+#: without bound.
+CUBE_CACHE_LIMIT = 1 << 16
+
 
 class BchXiGenerator:
     """A family of BCH-derived four-wise independent ξ mappings.
@@ -64,12 +70,16 @@ class BchXiGenerator:
         self._cube_cache: dict[int, int] = {}
 
     def _cube(self, value: int) -> int:
-        """``value³`` in GF(2^m) (memoised; queries repeat values)."""
-        cached = self._cube_cache.get(value)
+        """``value³`` in GF(2^m), memoised (streams and queries repeat
+        values) up to :data:`CUBE_CACHE_LIMIT` values."""
+        cache = self._cube_cache
+        cached = cache.get(value)
         if cached is None:
             square = gf2_mulmod(value, value, self._poly)
             cached = gf2_mulmod(square, value, self._poly)
-            self._cube_cache[value] = cached
+            if len(cache) >= CUBE_CACHE_LIMIT:
+                cache.clear()
+            cache[value] = cached
         return cached
 
     def xi(self, value: int) -> np.ndarray:

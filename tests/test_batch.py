@@ -20,7 +20,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.encoding as encoding_module
 import repro.core.sketchtree as sketchtree_module
+import repro.enumtree.enumerate as enumerate_module
+import repro.hashing.labels as labels_module
+import repro.sketch.bch as bch_module
 from repro import SketchTree, SketchTreeConfig
 from repro.core import EncodedBatch, PatternEncoder
 from repro.core.batch import FieldReducer
@@ -37,6 +41,7 @@ from repro.hashing.pairing import pair_sequence, pair_sequences
 from repro.hashing.rabin import RabinFingerprint
 from repro.sketch import SketchMatrix
 from repro.stream import StreamProcessor
+from repro.trees import from_sexpr
 from repro.trees.builders import from_nested
 
 from .strategies import nested_trees
@@ -310,20 +315,60 @@ class TestVectorisedEncoding:
             scalar_enc.encode(p) for p in patterns
         ]
 
-    def test_lru_stays_bounded_and_correct(self):
+    def test_lru_stays_bounded_and_correct(self, monkeypatch):
         patterns = [("A", ()), ("B", ()), ("C", ()), ("D", ()), ("A", ())]
-        bounded = PatternEncoder(seed=4, cache_limit=2)
         unbounded = PatternEncoder(seed=4)
+        expected = [unbounded.encode(p) for p in patterns]
+        monkeypatch.setattr(encoding_module, "PATTERN_CACHE_LIMIT", 2)
+        bounded = PatternEncoder(seed=4)
         values = [bounded.encode(p) for p in patterns]
         assert bounded.cache_size <= 2
         # Eviction cost recomputation, never a different value.
-        assert values == [unbounded.encode(p) for p in patterns]
+        assert values == expected
         assert bounded.encode_batch(patterns) == values
         assert bounded.cache_size <= 2
 
-    def test_bad_cache_limit_rejected(self):
-        with pytest.raises(ConfigError):
-            PatternEncoder(cache_limit=0)
+
+class TestBoundedIngestCaches:
+    """Every ingest-side cache stays within its bound on a stream whose
+    labels never repeat, and no flush changes a value."""
+
+    BOUND = 16
+    CONFIG = SketchTreeConfig(
+        s1=8, s2=3, max_pattern_edges=2, n_virtual_streams=7,
+        xi_family="bch", seed=2,
+    )
+
+    def test_caches_stay_bounded_and_values_unchanged(self, monkeypatch):
+        trees = [from_sexpr(f"(r{i} (a{i}) (b{i} (c{i})))") for i in range(40)]
+        unbounded = SketchTree(self.CONFIG)
+        for tree in trees:
+            unbounded.update(tree)
+        for module, name in [
+            (encoding_module, "PATTERN_CACHE_LIMIT"),
+            (labels_module, "RABIN_CACHE_LIMIT"),
+            (enumerate_module, "MEMO_SHAPE_LIMIT"),
+            (bch_module, "CUBE_CACHE_LIMIT"),
+        ]:
+            monkeypatch.setattr(module, name, self.BOUND)
+        bounded = SketchTree(self.CONFIG)
+        memo = bounded._enum_memo
+        for tree in trees:
+            bounded.update(tree)
+            assert bounded.encoder.cache_size <= self.BOUND
+            assert bounded.encoder.label_cache_size <= self.BOUND
+            # The memo flushes between trees: one tree's shapes past it.
+            assert memo.n_shapes <= self.BOUND + len(tree.labels)
+            assert len(bounded.streams.xi._cube_cache) <= self.BOUND
+        assert memo.flushes > 0
+        assert bounded.n_values == unbounded.n_values
+        ours = dict(bounded.streams.iter_sketches())
+        theirs = dict(unbounded.streams.iter_sketches())
+        assert ours.keys() == theirs.keys()
+        for residue, matrix in theirs.items():
+            assert np.array_equal(ours[residue].counters, matrix.counters)
+        query = "(r7 (b7 (c7)))"
+        assert bounded.estimate_ordered(query) == unbounded.estimate_ordered(query)
 
 
 class TestSketchMatrixBatch:

@@ -706,6 +706,38 @@ class TestOneReadPath:
             assert status == 200 and body["estimate"] > 0, body
 
 
+class TestTopKNaming:
+    def test_value_only_the_second_shard_saw_is_named(self):
+        """Both top-k surfaces name a tracked value from whichever shard
+        encoder memoises it, here the second shard's alone."""
+        config = dataclasses.replace(CONFIG, topk_size=3)
+        service = ShardedService(config, n_shards=2, window_trees=40, bucket_trees=10)
+        app = ServerApp(service, port=0)
+        app.start()
+        client = Client(app.port)
+        try:
+            # Round-robin: the first batch goes to shard 0, the second to 1.
+            client.post("/ingest", {"trees": ["(A (B))"] * 20})
+            client.post("/ingest", {"trees": ["(Q (R))"] * 20})
+            client.post("/admin/drain", {})
+            value = SketchTree(config).encoder.encode(("Q", (("R", ()),)))
+            first, second = service.shards
+            assert first.synopsis.encoder.lookup_values([value]) == {}
+            assert first.window.view().lookup_values([value]) == {}
+            assert second.synopsis.encoder.lookup_values([value])
+            for path in ("/window/topk", "/admin/topk"):
+                status, text = client.get(path)
+                assert status == 200, text
+                names = {
+                    entry["value"]: entry["pattern"]
+                    for entry in json.loads(text)["patterns"]
+                }
+                assert names[str(value)] == "(Q (R))", path
+        finally:
+            app.request_stop()
+            app.shutdown()
+
+
 # ---------------------------------------------------------------------------
 # CLI entry points
 # ---------------------------------------------------------------------------

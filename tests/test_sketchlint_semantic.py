@@ -24,6 +24,7 @@ from tools.sketchlint.baseline import (
 )
 from tools.sketchlint.semantic import analyze_paths, analyze_project
 from tools.sketchlint.semantic.callgraph import CallGraph
+from tools.sketchlint.semantic.dataflow import DataflowAnalysis
 from tools.sketchlint.semantic.model import ProjectModel
 from tools.sketchlint.suppress import Suppressions
 from tools.sketchlint.violations import Violation
@@ -534,6 +535,88 @@ class TestSuppression:
         assert sup.hides(Violation("SKL004", "p.py", 99, 1, "m"))
         assert sup.hides(Violation("SKL006", "p.py", 2, 1, "m"))
         assert not sup.hides(Violation("SKL006", "p.py", 3, 1, "m"))
+
+
+#: A project with findings in every semantic analysis: SKL101 and
+#: SKL102 (dataflow), SKL103, SKL104, SKL105, SKL201 and SKL202
+#: (concurrency: ``SketchTree.merge`` is an admin entry point) and SKL301.
+EVERY_ANALYSIS = {
+    "repro/hashing/pairing.py": PAIRING,
+    "repro/sketch/ams.py": AMS,
+    "repro/core/config.py": CONFIG,
+    "repro/use.py": (
+        "import random\n"
+        "import numpy as np\n"
+        "from repro.hashing.pairing import pair2\n"
+        "from repro.sketch.ams import SketchMatrix\n"
+        "def narrowed(sketch: SketchMatrix, a, b):\n"
+        "    sketch.update_batch([pair2(a, b)], [1])\n"
+        "def unseeded():\n"
+        "    return np.random.default_rng(random.random())\n"
+    ),
+    "repro/core/snapshot.py": (
+        "import pickle\n"
+        "import numpy as np\n"
+        "def save_snapshot(tree):\n"
+        "    return pickle.dumps(tree)\n"
+        "def load_counters(payload):\n"
+        "    return np.frombuffer(payload)\n"
+    ),
+    "repro/sketch/est.py": (
+        "class Sketch:\n"
+        "    def estimate_batch(self, values):\n"
+        "        self.counters[0] += 1\n"
+        "        return self.counters[0]\n"
+    ),
+    "repro/core/sketchtree.py": (
+        "class SketchTree:\n"
+        "    def __init__(self):\n"
+        "        self.n_trees = 0\n"
+        "    def merge(self, other):\n"
+        "        self.n_trees += other\n"
+        "        self.last = other\n"
+        "        return self\n"
+    ),
+    "repro/stats.py": (
+        "def total_and_peak(values):\n"
+        "    squares = (v * v for v in values)\n"
+        "    total = sum(squares)\n"
+        "    return total, max(squares)\n"
+    ),
+}
+
+HOT_PATH_RULES = ["SKL301", "SKL302", "SKL303", "SKL304", "SKL305"]
+
+
+class TestSelectRunsOnlySelectedAnalyses:
+    @pytest.mark.parametrize(
+        "selected",
+        [
+            ["SKL101", "SKL102"],
+            ["SKL102"],
+            ["SKL103"],
+            ["SKL104"],
+            ["SKL105"],
+            ["SKL201", "SKL202", "SKL203", "SKL204", "SKL205"],
+            ["SKL202"],
+            HOT_PATH_RULES,
+        ],
+    )
+    def test_selected_run_equals_the_filtered_full_run(self, tmp_path, selected):
+        root = write_project(tmp_path, EVERY_ANALYSIS)
+        expected = [v for v in analyze_paths([root]) if v.rule in selected]
+        assert expected, "the project must trip the selected family"
+        assert analyze_paths([root], select=selected) == expected
+
+    def test_hot_path_selection_never_runs_the_dataflow(self, tmp_path, monkeypatch):
+        root = write_project(tmp_path, EVERY_ANALYSIS)
+
+        def run(self):
+            raise AssertionError("the SKL101/102 dataflow ran for SKL3xx only")
+
+        monkeypatch.setattr(DataflowAnalysis, "run", run)
+        violations = analyze_paths([root], select=HOT_PATH_RULES)
+        assert [v.rule for v in violations] == ["SKL301"]
 
 
 _rule_ids = st.sampled_from(["SKL101", "SKL102", "SKL103", "SKL104", "SKL105"])

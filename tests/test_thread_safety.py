@@ -23,6 +23,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro.core.encoding as encoding_module
 from repro import ExactCounter, SketchTree, SketchTreeConfig
 from repro.core import PatternEncoder
 from repro.core.snapshot import CheckpointManager
@@ -153,14 +154,15 @@ class TestEncoderHammer:
     N_THREADS = 6
     ROUNDS = 30
 
-    def test_concurrent_encode_batch_is_consistent(self):
+    def test_concurrent_encode_batch_is_consistent(self, monkeypatch):
         patterns = [
             from_sexpr(text).to_nested() for text in STREAM
         ]
         reference = dict(
             zip(patterns, PatternEncoder(seed=3).encode_batch(patterns))
         )
-        shared = PatternEncoder(seed=3, cache_limit=4)  # forces evictions
+        monkeypatch.setattr(encoding_module, "PATTERN_CACHE_LIMIT", 4)
+        shared = PatternEncoder(seed=3)  # the small bound forces evictions
         results = [None] * self.N_THREADS
 
         def worker(index):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro import SketchTree, SketchTreeConfig
 from repro.core import TopKTracker, WindowedSketchTree
 from repro.core.topk import fold_vector, refold
+from repro.datasets.dblp import DblpGenerator
 from repro.serve.service import ShardedService
 from repro.sketch import SketchMatrix
 from repro.trees import from_sexpr
@@ -158,6 +159,51 @@ class TestMergeTopK:
         merged = a.merge(b)
         interval = merged.estimate_ordered_interval("(A (B))", confidence=0.9)
         assert interval.low <= 30 <= interval.high
+
+
+class TestNaryMerge:
+    """``a.merge(b, c)`` composes every operand's top-k state at once."""
+
+    def test_one_refold_over_the_union_of_tracked_values(self):
+        """Per stream, the merged tracker is one refold over the union of
+        the three operands' tracked values, taken on their summed counters
+        with every operand's tracked frequencies added back; unfolded,
+        those counters are one synopsis' over all the trees."""
+        trees = list(DblpGenerator(seed=5).generate(60))
+        parts = [SketchTree(TOPK) for _ in range(3)]
+        for index, part in enumerate(parts):
+            part.update_batch(trees[index::3])
+        merged = parts[0].merge(*parts[1:])
+        plain = SketchTree(PLAIN)
+        plain.update_batch(trees)
+        union: dict[int, dict[int, int]] = {}
+        for part in parts:
+            for residue, tracker in part.streams.iter_trackers():
+                state = union.setdefault(residue, {})
+                for value, freq in tracker.tracked.items():
+                    state[value] = state.get(value, 0) + freq
+        assert sum(map(len, union.values())) > TOPK.topk_size
+        for residue in range(TOPK.n_virtual_streams):
+            sketch = SketchMatrix(TOPK.s1, TOPK.s2, xi=merged.streams.xi)
+            for part in parts:
+                own = part.streams.sketch_if_allocated(residue)
+                if own is not None:
+                    sketch.counters += own.counters
+            state = union.get(residue, {})
+            if state:
+                sketch.counters += fold_vector(sketch, state)
+            assert np.array_equal(
+                sketch.counters, plain.streams.sketch(residue).counters
+            )
+            expected = refold(sketch, state, TOPK.topk_size).tracked
+            tracker = merged.streams.tracker(residue)
+            assert (tracker.tracked if tracker is not None else {}) == expected
+            assert np.array_equal(
+                merged.streams.sketch(residue).counters, sketch.counters
+            )
+        assert merged.n_trees == len(trees)
+        unfold_all(merged)
+        assert_counters_equal(plain, merged)
 
 
 class TestShardedTopK:

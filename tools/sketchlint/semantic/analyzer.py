@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 from tools.sketchlint.semantic.callgraph import CallGraph
 from tools.sketchlint.semantic.concurrency import check_concurrency
@@ -19,6 +19,32 @@ from tools.sketchlint.semantic.rules import (
 from tools.sketchlint.suppress import filter_suppressed
 from tools.sketchlint.violations import Violation
 
+Analysis = Callable[[ProjectModel, CallGraph], list[Violation]]
+
+#: Every semantic analysis, with the rule ids it can report.  Each runs
+#: only when one of its rules is selected; all share one project model
+#: and one call graph.
+ANALYSES: tuple[tuple[frozenset[str], Analysis], ...] = (
+    (
+        frozenset({"SKL101", "SKL102"}),
+        lambda model, graph: DataflowAnalysis(model).run(),
+    ),
+    (frozenset({"SKL103"}), check_snapshot_reachability),
+    (frozenset({"SKL104"}), check_estimator_purity),
+    (
+        frozenset({"SKL105"}),
+        lambda model, graph: check_numpy_deserialisation(model),
+    ),
+    (
+        frozenset({"SKL201", "SKL202", "SKL203", "SKL204", "SKL205"}),
+        check_concurrency,
+    ),
+    (
+        frozenset({"SKL301", "SKL302", "SKL303", "SKL304", "SKL305"}),
+        check_hotpath,
+    ),
+)
+
 
 def analyze_project(
     files: Iterable[tuple[Path, str]],
@@ -26,24 +52,21 @@ def analyze_project(
 ) -> list[Violation]:
     """Run the whole-project phase over ``(path, source)`` pairs.
 
-    ``select`` restricts output to the given SKL1xx ids (None = all).
+    ``select`` restricts the run to the given semantic rule ids (None =
+    all): only the analyses that can report one of them run.
     Suppression comments (line- and file-level) are honoured.
     """
+    if select is None:
+        wanted = set(SEMANTIC_RULES_BY_ID)
+    else:
+        wanted = {token.strip().upper() for token in select}
     model = ProjectModel.build(files)
     graph = CallGraph.build(model)
     violations: list[Violation] = []
-    violations += DataflowAnalysis(model).run()  # SKL101 / SKL102
-    violations += check_snapshot_reachability(model, graph)  # SKL103
-    violations += check_estimator_purity(model, graph)  # SKL104
-    violations += check_numpy_deserialisation(model)  # SKL105
-    violations += check_concurrency(model, graph)  # SKL201..SKL205
-    violations += check_hotpath(model, graph)  # SKL301..SKL305
-    if select is not None:
-        wanted = {token.strip().upper() for token in select}
-        violations = [v for v in violations if v.rule in wanted]
-    else:
-        wanted = set(SEMANTIC_RULES_BY_ID)
-        violations = [v for v in violations if v.rule in wanted]
+    for rules, analysis in ANALYSES:
+        if rules & wanted:
+            violations += analysis(model, graph)
+    violations = [v for v in violations if v.rule in wanted]
     sources = {info.path: info.source for info in model.modules.values()}
     violations = filter_suppressed(sorted(set(violations), key=Violation.sort_key), sources)
     return violations

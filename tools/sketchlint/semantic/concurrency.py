@@ -146,16 +146,14 @@ DEFAULT_CONFIG = ConcurrencyConfig(
         EntrypointGroup(
             "query",
             (
-                # Synopses and windows inherit estimate_* and
-                # tracked_patterns from Queries, which reads their view();
-                # CounterView holds the estimator bodies.
+                # Synopses and windows inherit estimate_* and tracked*
+                # from Queries, which reads their view(); CounterView
+                # holds the estimator and tracked-state bodies.
                 "repro.core.view.Queries.estimate_*",
                 "repro.core.view.Queries.tracked*",
                 "repro.core.view.CounterView.*",
                 "repro.core.sketchtree.SketchTree.view",
-                "repro.core.sketchtree.SketchTree.tracked*",
                 "repro.core.window.WindowedSketchTree.view",
-                "repro.core.window.WindowedSketchTree.tracked*",
             ),
             parallel=True,
         ),
