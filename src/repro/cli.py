@@ -309,7 +309,7 @@ def _describe(synopsis) -> None:
     )
     print(f"trees:           {synopsis.n_trees}")
     print(f"occurrences:     {synopsis.n_values}")
-    print(f"streams in use:  {synopsis.streams.n_allocated}")
+    print(f"streams in use:  {synopsis.streams.n_nonzero}")
     if synopsis.summary is not None:
         print(f"summary paths:   {synopsis.summary.n_paths}")
 

@@ -12,22 +12,33 @@ counter, 16 bytes per top-k slot, 8 bytes per ξ seed coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.core.config import SketchTreeConfig
 
 
 @dataclass(frozen=True)
 class MemoryReport:
     """Breakdown of a synopsis' memory, in bytes.
 
-    ``provisioned_*`` is the paper-style total for a fully allocated
-    synopsis (all ``p`` virtual streams); ``allocated_*`` is what this
-    process actually holds given lazy stream allocation.
+    ``provisioned_*`` is the paper-style total for all ``p`` virtual
+    streams, which a synopsis allocates at construction.
     """
 
     provisioned_sketch_bytes: int
     provisioned_topk_bytes: int
     seed_bytes: int
-    allocated_sketch_bytes: int
-    allocated_topk_bytes: int
+
+    @classmethod
+    def of(cls, config: "SketchTreeConfig") -> "MemoryReport":
+        """The report of a synopsis built from ``config``."""
+        p, cells = config.n_virtual_streams, config.s1 * config.s2
+        return cls(
+            provisioned_sketch_bytes=p * cells * 8,
+            provisioned_topk_bytes=p * config.topk_size * 16,
+            seed_bytes=cells * config.independence * 8,
+        )
 
     @property
     def provisioned_total(self) -> int:
@@ -37,10 +48,6 @@ class MemoryReport:
             + self.provisioned_topk_bytes
             + self.seed_bytes
         )
-
-    @property
-    def allocated_total(self) -> int:
-        return self.allocated_sketch_bytes + self.allocated_topk_bytes + self.seed_bytes
 
     def format(self) -> str:
         """Human-readable one-liner (KB/MB like the paper's captions)."""

@@ -144,7 +144,7 @@ class SketchTree(Queries):  # sketchlint: single-writer
         Metrics are pure observation: nothing here touches sketch state,
         and the registry is not serialised into snapshots — a restored
         synopsis starts on the process default and can be re-attached
-        with this method.  Pull gauges (allocated streams, counter L2
+        with this method.  Pull gauges (non-zero streams, counter L2
         mass, top-k churn) are registered against the synopsis' live
         state; re-registering the same names rebinds them, so the last
         synopsis to attach owns them (the registry keeps the synopsis
@@ -156,20 +156,14 @@ class SketchTree(Queries):  # sketchlint: single-writer
             return
         streams = self._streams
         obs.gauge(
-            "virtual_streams_allocated",
-            help="virtual streams that received at least one value",
-            fn=lambda: streams.n_allocated,
+            "virtual_streams_nonzero",
+            help="virtual streams whose counters are not all zero",
+            fn=lambda: streams.n_nonzero,
         )
         obs.gauge(
             "sketch_counter_l2_mass",
-            help="sum of squared AMS counters across allocated streams",
-            fn=lambda: sum(
-                float(np.dot(c, c))
-                for c in (
-                    matrix.counters.astype(np.float64)
-                    for _, matrix in streams.iter_sketches()
-                )
-            ),
+            help="sum of squared AMS counters across all streams",
+            fn=lambda: float(np.square(streams.counters, dtype=np.float64).sum()),
         )
         obs.counter(
             "encoder_cache_hits_total",
@@ -537,19 +531,7 @@ class SketchTree(Queries):  # sketchlint: single-writer
     # ------------------------------------------------------------------
     def memory_report(self) -> MemoryReport:
         """Paper-style memory accounting (see :mod:`repro.core.memory`)."""
-        cfg = self.config
-        per_stream_sketch = cfg.s1 * cfg.s2 * 8
-        per_stream_topk = cfg.topk_size * 16
-        allocated_topk = sum(
-            tracker.memory_bytes() for _, tracker in self._streams.iter_trackers()
-        )
-        return MemoryReport(
-            provisioned_sketch_bytes=cfg.n_virtual_streams * per_stream_sketch,
-            provisioned_topk_bytes=cfg.n_virtual_streams * per_stream_topk,
-            seed_bytes=cfg.s1 * cfg.s2 * cfg.independence * 8,
-            allocated_sketch_bytes=self._streams.n_allocated * per_stream_sketch,
-            allocated_topk_bytes=allocated_topk,
-        )
+        return MemoryReport.of(self.config)
 
     @property
     def streams(self) -> VirtualStreams:
@@ -599,8 +581,7 @@ class SketchTree(Queries):  # sketchlint: single-writer
         view = CounterView(sources)
         merged = self.empty_like()
         for source in sources:
-            for residue, matrix in source._streams.iter_sketches():
-                merged._streams.sketch(residue).counters += matrix.counters
+            merged._streams.counters += source._streams.counters
         candidates: dict[int, dict[int, int]] = {}
         for value, freq in view.tracked().items():
             candidates.setdefault(merged._streams.residue(value), {})[value] = freq

@@ -6,7 +6,7 @@ self-describing binary snapshot format that round-trips *all* synopsis
 state — sketch counters, top-k tracker state, the structural summary,
 and bookkeeping — plus crash-safe checkpointing on top of it.
 
-Format (version 2)
+Format (version 3)
 ------------------
 
 Every blob — a synopsis, a window container, and each bucket nested in
@@ -34,9 +34,13 @@ A synopsis (``SKTSNAP``):
   values hold only under the numbering that produced them, so a
   restore without it would number query labels afresh and answer
   wrongly, and a pairing blob without it is refused.
-* ``payload`` — an ``npz`` archive (``numpy.savez_compressed``, loaded
-  with ``allow_pickle=False``) holding one int64 counter array per
-  allocated virtual stream, named ``sketch_<residue>``.
+* ``payload`` — the synopsis' one ``(p, s1·s2)`` counter array
+  (:attr:`~repro.core.virtual.VirtualStreams.counters`) as little-endian
+  int64 in C order, compressed with ``zlib``.  The digest-covered config
+  fixes its shape, so the payload names no stream: a restore inflates at
+  most one byte past that size and refuses a payload that inflates to
+  any other size, stops short of its zlib end of stream or carries bytes
+  after it.
 
 A :class:`~repro.core.window.WindowedSketchTree` (``SKTWSNP``):
 
@@ -51,7 +55,7 @@ A :class:`~repro.core.window.WindowedSketchTree` (``SKTWSNP``):
   the one that was saved.
 
 Nothing in the format executes code on load: the header is JSON, the
-payload is raw arrays.  Loaders *refuse* — with typed
+payload is a raw array.  Loaders *refuse* — with typed
 :class:`~repro.errors.SnapshotError` subclasses — anything corrupt,
 truncated, version-mismatched, or configured differently than expected,
 instead of restoring garbage that would answer queries wrongly.
@@ -60,10 +64,13 @@ Version policy: one ``FORMAT_VERSION`` covers every kind and is bumped
 on any incompatible change to the frame, a header schema, or a payload
 encoding.  A loader accepts exactly the version it knows how to restore
 bit-faithfully and raises :class:`~repro.errors.SnapshotVersionError`
-otherwise.  A version 1 blob, whose SHA-256 covered only the payload
-and sat in its header, carries no trailing digest: it fails the digest
-check with :class:`~repro.errors.SnapshotIntegrityError`, and no
-version 1 loader is kept.
+otherwise.  A version 2 blob, whose payload was an ``npz`` archive of
+one member per stream, is refused with
+:class:`~repro.errors.SnapshotVersionError`.  A version 1 blob, whose
+SHA-256 covered only the payload and sat in its header, carries no
+trailing digest: it fails the digest check with
+:class:`~repro.errors.SnapshotIntegrityError`.  No loader for either
+is kept.
 
 Checkpointing
 -------------
@@ -81,13 +88,11 @@ runs (``snapshot_every=...``) and recovery (``resume(...)``).
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import re
 import threading
 import time
-import zipfile
 import zlib
 from collections import deque
 from dataclasses import asdict
@@ -124,7 +129,10 @@ WINDOW_MAGIC = b"SKTWSNP\n"
 #: Format version of every frame, whatever its kind.  Bumped on any
 #: incompatible change to the frame, a header schema, or a payload
 #: encoding; see the module docstring for the acceptance policy.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+
+#: How a payload stores each counter: little-endian int64.
+_COUNTER_DTYPE = np.dtype("<i8")
 
 _LENGTH_BYTES = 8
 _PREFIX_LEN = len(MAGIC) + _LENGTH_BYTES
@@ -269,12 +277,8 @@ def _unframe(blob: bytes, magic: bytes) -> tuple[dict[str, Any], bytes]:
 
 def snapshot_to_bytes(synopsis: SketchTree) -> bytes:
     """Serialise a synopsis into one ``SKTSNAP`` frame."""
-    arrays: dict[str, np.ndarray] = {
-        f"sketch_{residue}": matrix.counters
-        for residue, matrix in synopsis.streams.iter_sketches()
-    }
-    payload = io.BytesIO()
-    np.savez_compressed(payload, **arrays)
+    counters = synopsis.streams.counters.astype(_COUNTER_DTYPE, copy=False)
+    payload = zlib.compress(counters.tobytes(order="C"))
 
     trackers: dict[str, list[list[Any]]] = {}
     for residue, tracker in synopsis.streams.iter_trackers():
@@ -297,7 +301,7 @@ def snapshot_to_bytes(synopsis: SketchTree) -> bytes:
     labels = synopsis.encoder.label_numbering()
     if labels is not None:
         fields["labels"] = labels
-    return _frame(MAGIC, fields, payload.getvalue())
+    return _frame(MAGIC, fields, payload)
 
 
 def _config_from_header(header: dict[str, Any]) -> SketchTreeConfig:
@@ -316,35 +320,22 @@ def _config_from_header(header: dict[str, Any]) -> SketchTreeConfig:
     return config
 
 
-#: What a damaged npz archive or member raises when opened or read: a
-#: bad zip record or CRC, a bad deflate stream, an unsupported method,
-#: version or encryption flag (``NotImplementedError`` is a
-#: ``RuntimeError``), a short or misplaced read, a bad ``.npy`` header.
-_NPZ_ERRORS = (
-    ValueError, OSError, EOFError, RuntimeError, zipfile.BadZipFile, zlib.error
-)
-
-
 def _restore_counters(synopsis: SketchTree, payload: bytes) -> None:
+    counters = synopsis.streams.counters
+    inflater = zlib.decompressobj()
     try:
-        npz = np.load(io.BytesIO(payload), allow_pickle=False)
-    except _NPZ_ERRORS as exc:
+        raw = inflater.decompress(payload, counters.nbytes + 1)
+    except zlib.error as exc:
         raise SnapshotFormatError(
-            f"snapshot payload is not a readable npz archive: {exc}"
+            f"snapshot payload is not a zlib stream: {exc}"
         ) from exc
-    with npz:
-        for name in npz.files:
-            prefix, _, residue_text = name.partition("_")
-            if prefix != "sketch" or not residue_text.isdigit():
-                raise SnapshotFormatError(
-                    f"unexpected array {name!r} in snapshot payload"
-                )
-            try:
-                synopsis.streams.set_counters(int(residue_text), npz[name])
-            except (ConfigError, *_NPZ_ERRORS) as exc:
-                raise SnapshotFormatError(
-                    f"snapshot counters for {name!r} are invalid: {exc}"
-                ) from exc
+    if len(raw) != counters.nbytes or not inflater.eof or inflater.unused_data:
+        raise SnapshotFormatError(
+            f"snapshot payload is not one whole zlib stream of exactly "
+            f"{counters.nbytes} bytes, the {counters.shape} int64 counters "
+            "its config fixes"
+        )
+    counters[...] = np.frombuffer(raw, dtype=_COUNTER_DTYPE).reshape(counters.shape)
 
 
 def _restore_trackers(synopsis: SketchTree, header: dict[str, Any]) -> None:
@@ -379,9 +370,6 @@ def _restore_trackers(synopsis: SketchTree, header: dict[str, Any]) -> None:
                 f"snapshot tracker state for stream {residue} holds value "
                 f"{misfiled[0]}, which is not in that stream"
             )
-        # tracker() is non-allocating; make sure the stream (and with it
-        # the tracker) exists even if the payload carried no counters.
-        synopsis.streams.sketch(residue)
         tracker = synopsis.streams.tracker(residue)
         assert tracker is not None  # topk_size checked above
         try:

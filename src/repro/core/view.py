@@ -94,7 +94,7 @@ def check_composable(first: "SketchTree", other: "SketchTree") -> None:
 class CounterReads:
     """What a query builds from several virtual streams, defined once.
 
-    Subclasses supply :meth:`residue`, :meth:`sketch_if_allocated` and
+    Subclasses supply :meth:`residue`, :meth:`sketch` and
     :meth:`adjustment`: :class:`~repro.core.virtual.VirtualStreams` from
     its own tables, :class:`CounterView` summed across synopses.
     """
@@ -107,8 +107,8 @@ class CounterReads:
         """Which virtual stream ``value`` belongs to."""
         raise NotImplementedError
 
-    def sketch_if_allocated(self, residue: int) -> SketchMatrix | None:
-        """Stream ``residue``'s counters, or ``None`` before its first value."""
+    def sketch(self, residue: int) -> SketchMatrix:
+        """Stream ``residue``'s counters."""
         raise NotImplementedError
 
     def adjustment(self, residue: int, values: list[int]) -> np.ndarray | None:
@@ -130,9 +130,7 @@ class CounterReads:
         """
         total = np.zeros(self.s1 * self.s2, dtype=np.int64)
         for residue in dict.fromkeys(residues):
-            matrix = self.sketch_if_allocated(residue)
-            if matrix is not None:
-                total += matrix.counters
+            total += self.sketch(residue).counters
         return total
 
     def combined_adjustment(self, values: Iterable[int]) -> np.ndarray | None:
@@ -178,13 +176,13 @@ class CounterReads:
         and so is every group sum below ``2^53``.
         """
         by_residue = self._by_residue(values)
+        if not by_residue:
+            return 0.0
         ordered: list[int] = []
         offsets: list[int] = []  # where each group starts in ``ordered``
         counters: list[np.ndarray] = []
         for residue in sorted(by_residue):
-            matrix = self.sketch_if_allocated(residue)
-            if matrix is None:
-                continue  # stream never received a value: exact zero
+            matrix = self.sketch(residue)
             stream_values = by_residue[residue]
             adjust = self.adjustment(residue, stream_values)
             offsets.append(len(ordered))
@@ -192,8 +190,6 @@ class CounterReads:
             counters.append(
                 matrix.counters if adjust is None else matrix.counters + adjust
             )
-        if not counters:
-            return 0.0
         field = self.xi.to_field(ordered, count=len(ordered))
         xi_sums = np.zeros((len(offsets), self.s1 * self.s2), dtype=np.int64)
         for lo in range(0, len(field), _CHUNK):
@@ -234,27 +230,15 @@ class CounterView(CounterReads):
     def residue(self, value: int) -> int:
         return self._streams[0].residue(value)
 
-    def sketch_if_allocated(self, residue: int) -> SketchMatrix | None:
-        matrices = [
-            matrix
-            for matrix in (s.sketch_if_allocated(residue) for s in self._streams)
-            if matrix is not None
-        ]
-        if len(matrices) < 2:
-            return matrices[0] if matrices else None
+    def sketch(self, residue: int) -> SketchMatrix:
+        if len(self._streams) == 1:
+            return self._streams[0].sketch(residue)
         summed = SketchMatrix(self.s1, self.s2, xi=self.xi)
-        summed.counters = np.add.reduce([matrix.counters for matrix in matrices])
+        summed.counters = np.add.reduce([s.counters[residue] for s in self._streams])
         return summed
 
     def adjustment(self, residue: int, values: list[int]) -> np.ndarray | None:
         return _sum_optional(s.adjustment(residue, values) for s in self._streams)
-
-    def residues(self) -> list[int]:
-        """Allocated streams across sources, in first-allocation order
-        (a merged synopsis' order, which fixes float sums over them)."""
-        return list(
-            dict.fromkeys(r for s in self._streams for r, _ in s.iter_sketches())
-        )
 
     @property
     def summary(self) -> StructuralSummary | None:
@@ -271,21 +255,8 @@ class CounterView(CounterReads):
         return union
 
     def _trackers(self) -> list[TopKTracker]:
-        """Every source's top-k trackers, read retry-safe: a writer may
-        allocate one mid-scan (``RuntimeError``), and retrying is sound,
-        since the GIL makes each step atomic and allocations are rare."""
-        trackers: list[TopKTracker] = []
-        for streams in self._streams:
-            for _ in range(8):
-                try:
-                    table = list(streams.iter_trackers())
-                    break
-                except RuntimeError:
-                    continue
-            else:
-                table = list(streams.iter_trackers())
-            trackers.extend(tracker for _, tracker in table)
-        return trackers
+        """Every source's top-k trackers (none with ``topk_size=0``)."""
+        return [t for streams in self._streams for _, t in streams.iter_trackers()]
 
     def tracked(self) -> dict[int, int]:
         """Tracked value → deleted frequency, summed per value across the
@@ -332,9 +303,7 @@ class CounterView(CounterReads):
         """Approximate ``COUNT_ord(Q)`` (Theorem 1 estimator)."""
         value = self.encoder.encode(self._checked(query))
         residue = self.residue(value)
-        matrix = self.sketch_if_allocated(residue)
-        if matrix is None:
-            return 0.0
+        matrix = self.sketch(residue)
         return matrix.estimate(value, adjust=self.adjustment(residue, [value]))
 
     def estimate_ordered_interval(self, query, confidence: float = 0.9) -> Interval:
@@ -350,9 +319,7 @@ class CounterView(CounterReads):
         """
         value = self.encoder.encode(self._checked(query))
         residue = self.residue(value)
-        matrix = self.sketch_if_allocated(residue)
-        if matrix is None:
-            return Interval(0.0, 0.0, confidence, 0.0)
+        matrix = self.sketch(residue)
         estimate = matrix.estimate(value, adjust=self.adjustment(residue, [value]))
         self_join = max(0.0, matrix.estimate_self_join_size())
         half_width = chebyshev_half_width(self_join, self.config.s1, confidence)
@@ -365,12 +332,11 @@ class CounterView(CounterReads):
         exactly the quantity Theorem 1's error bound depends on after the
         Section 5.2 optimisation.  A stream's counters are summed across
         sources first (``SJ`` is quadratic in frequencies, which add).
+        The float sum runs in residue order, on every path.
         """
         total = 0.0
-        for residue in self.residues():
-            matrix = self.sketch_if_allocated(residue)
-            if matrix is not None:
-                total += max(0.0, matrix.estimate_self_join_size())
+        for residue in range(self.config.n_virtual_streams):
+            total += max(0.0, self.sketch(residue).estimate_self_join_size())
         return total
 
     def estimate_unordered(self, query) -> float:

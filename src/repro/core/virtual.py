@@ -8,14 +8,18 @@ of streams is simply the sum of their counters; that is how queries whose
 values land in different streams (sums, products, unordered counts) are
 served.
 
-When top-k tracking is enabled there is one tracker per virtual stream,
-as the paper prescribes for the combined strategy.
+Every stream is allocated at construction, as the paper's memory totals
+provision them (Section 7.5): one ``(p, s1·s2)`` int64 array holds all
+counters, and each stream's :class:`~repro.sketch.ams.SketchMatrix` is a
+view of one row.  When top-k tracking is enabled there is one tracker per
+virtual stream, built at the same time, as the paper prescribes for the
+combined strategy.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -54,14 +58,14 @@ def next_prime(n: int) -> int:
 
 
 class VirtualStreams(CounterReads):  # sketchlint: single-writer
-    """``p`` lazily-allocated per-residue sketch matrices + top-k trackers.
+    """``p`` per-residue sketch matrices + top-k trackers over one array.
 
-    Single-writer: the owning shard's ingest thread performs all
-    allocation and counter mutation; query threads only combine already
-    allocated counters (see docs/concurrency.md) through the
+    Single-writer: the owning shard's ingest thread performs all counter
+    mutation and tracker replacement; query threads only read counters
+    (see docs/concurrency.md) through the
     :class:`~repro.core.view.CounterReads` methods, which this class
-    shares with summed views.  :meth:`tracker` is deliberately
-    non-allocating so the query path never mutates the stream table.
+    shares with summed views.  Nothing is allocated after construction,
+    so no reader ever iterates a table that grows.
 
     Parameters
     ----------
@@ -101,11 +105,24 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
             self.xi = BchXiGenerator(s1 * s2, seed=seed)
         else:
             raise ConfigError(f"unknown xi_family {xi_family!r}")
-        self._sketches: dict[int, SketchMatrix] = {}
-        self._trackers: dict[int, TopKTracker] = {}
+        #: Every stream's counters: row ``r`` is stream ``r``'s.
+        self.counters = np.zeros((n_streams, s1 * s2), dtype=np.int64)
+        matrices: list[SketchMatrix] = []
+        for row in self.counters:
+            matrix = SketchMatrix(s1, s2, xi=self.xi)
+            matrix.counters = row
+            matrices.append(matrix)
+        self._matrices = tuple(matrices)
         #: Every tracker's mutex: :meth:`track_rows` decides all touched
         #: streams under one acquisition.
         self._tracker_lock = threading.Lock()
+        #: One tracker per stream with top-k on; :meth:`refold_tracker`
+        #: replaces items, so the list never changes length.
+        self._trackers = (
+            [TopKTracker(topk_size, m, self._tracker_lock) for m in self._matrices]
+            if topk_size
+            else []
+        )
 
     # ------------------------------------------------------------------
     # Routing
@@ -115,19 +132,11 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
         return value % self.n_streams
 
     def sketch(self, residue: int) -> SketchMatrix:
-        """The sketch of stream ``residue``, allocating it on first use."""
-        matrix = self._sketches.get(residue)
-        if matrix is None:
-            matrix = SketchMatrix(self.s1, self.s2, xi=self.xi)
-            self._sketches[residue] = matrix
-            if self.topk_size:
-                self._trackers[residue] = TopKTracker(
-                    self.topk_size, matrix, self._tracker_lock
-                )
-        return matrix
+        """The sketch of stream ``residue``: a view of its counter row."""
+        return self._matrices[residue]
 
-    def sketch_if_allocated(self, residue: int) -> SketchMatrix | None:
-        return self._sketches.get(residue)
+    #: Alias of :meth:`sketch`, still called by ``benchmarks/suite``.
+    sketch_if_allocated = sketch
 
     def update_batch(
         self, batch: "EncodedBatch", signs: np.ndarray | None = None
@@ -227,11 +236,10 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
         edges = np.flatnonzero(fresh)  # every stream's first row, then m
         starts = edges[:-1]
         lengths = edges[1:] - starts
-        touched = ordered[starts].tolist()
+        index = ordered[starts]  # the touched streams
+        touched = index.tolist()
         trackers = [self._trackers[residue] for residue in touched]
-        counters = np.concatenate(
-            [tracker.sketch.counters for tracker in trackers]
-        ).reshape(len(trackers), -1)
+        counters = self.counters[index]
         # max|C| per stream; the uint64 view keeps |INT64_MIN| exact.
         bounds = np.abs(counters).view(np.uint64).max(axis=1).tolist()
         with self._tracker_lock:
@@ -240,8 +248,7 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
                 done = self._rounds(
                     trackers, counters, bounds, order, starts, lengths, raw, signs
                 )
-                for tracker, row in zip(trackers, counters):
-                    tracker.sketch.counters[...] = row
+                self.counters[index] = counters
             tails = np.flatnonzero(lengths > done).tolist()
             for t in tails:
                 tail = order[starts[t] + done : starts[t] + lengths[t]]
@@ -327,35 +334,9 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
             grouped[index] = block
         return n_rounds
 
-    def set_counters(self, residue: int, counters: np.ndarray) -> None:
-        """Install counters for stream ``residue`` (snapshot restore path).
-
-        Allocates the stream if needed and validates residue range, shape
-        and dtype, so a malformed snapshot cannot plant a matrix whose
-        estimates silently broadcast or truncate.
-        """
-        if not 0 <= residue < self.n_streams:
-            raise ConfigError(
-                f"residue {residue} outside [0, {self.n_streams})"
-            )
-        counters = np.asarray(counters)
-        if counters.shape != (self.s1 * self.s2,):
-            raise ConfigError(
-                f"counters for stream {residue} have shape {counters.shape}, "
-                f"expected ({self.s1 * self.s2},)"
-            )
-        self.sketch(residue).counters = counters.astype(np.int64).copy()
-
     def tracker(self, residue: int) -> TopKTracker | None:
-        """The stream's top-k tracker, or ``None`` when disabled/unused.
-
-        Non-allocating: an unallocated stream has tracked nothing, so
-        queries get ``None`` (no compensation) without mutating the
-        stream table — ingest allocates via :meth:`sketch` first.
-        """
-        if not self.topk_size:
-            return None
-        return self._trackers.get(residue)
+        """The stream's top-k tracker, or ``None`` with top-k off."""
+        return self._trackers[residue] if self._trackers else None
 
     def refold_tracker(
         self, residue: int, candidates: Iterable[int]
@@ -376,8 +357,9 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
         return tracker
 
     def adjustment(self, residue: int, values: list[int]) -> np.ndarray | None:
-        tracker = self._trackers.get(residue)
-        return tracker.adjustment(values) if tracker is not None else None
+        if not self._trackers:
+            return None
+        return self._trackers[residue].adjustment(values)
 
     #: The union-of-streams sketch, under the name query pipelines call.
     view = CounterReads.combined
@@ -386,20 +368,21 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def n_allocated(self) -> int:
-        """Streams that have received at least one value."""
-        return len(self._sketches)
+    def n_nonzero(self) -> int:
+        """Streams whose counters are not all zero."""
+        return int(np.count_nonzero(self.counters.any(axis=1)))
 
-    def iter_sketches(self):
-        """Yield ``(residue, SketchMatrix)`` for allocated streams."""
-        return iter(self._sketches.items())
+    def iter_sketches(self) -> Iterator[tuple[int, SketchMatrix]]:
+        """Yield ``(residue, SketchMatrix)`` for every stream."""
+        return enumerate(self._matrices)
 
-    def iter_trackers(self):
-        """Yield ``(residue, TopKTracker)`` for allocated trackers."""
-        return iter(self._trackers.items())
+    def iter_trackers(self) -> Iterator[tuple[int, TopKTracker]]:
+        """Yield ``(residue, TopKTracker)`` for every stream (none with
+        top-k off)."""
+        return enumerate(self._trackers)
 
     def __repr__(self) -> str:
         return (
-            f"VirtualStreams(p={self.n_streams}, allocated={len(self._sketches)}, "
+            f"VirtualStreams(p={self.n_streams}, nonzero={self.n_nonzero}, "
             f"s1={self.s1}, s2={self.s2}, topk={self.topk_size})"
         )

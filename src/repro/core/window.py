@@ -43,6 +43,7 @@ from collections import deque
 from typing import Iterable
 
 from repro.core.config import SketchTreeConfig
+from repro.core.memory import MemoryReport
 from repro.core.sketchtree import SketchTree
 from repro.core.view import CounterView, Queries
 from repro.errors import ConfigError
@@ -164,23 +165,13 @@ class WindowedSketchTree(Queries):  # sketchlint: single-writer
         ``adjustment()`` compensation keeps working because each
         bucket's tracker still describes precisely its own deletions.
         """
-        if not self.config.topk_size:
-            return
-        # Plain iteration is safe here: this runs on the window's single
-        # writer thread, which is the only mutator of tracker tables in
-        # both the expired bucket (frozen) and the successor (complete).
-        for residue, tracker in list(expired.streams.iter_trackers()):
+        survivors = dict(successor.streams.iter_trackers())
+        for residue, tracker in expired.streams.iter_trackers():
             candidates = tracker.unfold()
             if not candidates:
                 continue
-            if successor.streams.sketch_if_allocated(residue) is None:
-                # The surviving window never routed a value to this
-                # stream: every candidate's surviving count is exactly 0.
-                continue
             union = dict.fromkeys(candidates)
-            surviving = successor.streams.tracker(residue)
-            if surviving is not None:
-                union.update(dict.fromkeys(surviving.unfold()))
+            union.update(dict.fromkeys(survivors[residue].unfold()))
             successor.streams.refold_tracker(residue, union)
             self.n_refolds += 1
             self.n_refold_candidates += len(union)
@@ -317,20 +308,15 @@ class WindowedSketchTree(Queries):  # sketchlint: single-writer
     def n_live_buckets(self) -> int:
         return len(self._complete) + (1 if self._current.n_trees else 0)
 
-    def memory_report(self):
-        """Aggregate paper-style memory across live buckets (plus the
-        in-progress one)."""
-        from repro.core.memory import MemoryReport
-
-        reports = [b.memory_report() for b in self._live_buckets()]
-        if not reports:
-            reports = [SketchTree(self.config).memory_report()]
+    def memory_report(self) -> MemoryReport:
+        """Aggregate paper-style memory across live buckets (at least
+        the in-progress one); the buckets share one ξ seed draw."""
+        one = MemoryReport.of(self.config)
+        n = max(1, len(self._live_buckets()))
         return MemoryReport(
-            provisioned_sketch_bytes=sum(r.provisioned_sketch_bytes for r in reports),
-            provisioned_topk_bytes=sum(r.provisioned_topk_bytes for r in reports),
-            seed_bytes=reports[0].seed_bytes,
-            allocated_sketch_bytes=sum(r.allocated_sketch_bytes for r in reports),
-            allocated_topk_bytes=sum(r.allocated_topk_bytes for r in reports),
+            provisioned_sketch_bytes=n * one.provisioned_sketch_bytes,
+            provisioned_topk_bytes=n * one.provisioned_topk_bytes,
+            seed_bytes=one.seed_bytes,
         )
 
     def __repr__(self) -> str:

@@ -8,6 +8,8 @@ the irreducibility test (Rabin's criterion).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.errors import HashingError
@@ -122,12 +124,25 @@ def random_irreducible(
     ``rng`` is an injectable seeded :class:`numpy.random.Generator`; an
     int is taken as a seed, and ``None`` falls back to the repository-wide
     :data:`~repro.core.config.DEFAULT_SEED` so the draw is reproducible
-    run-to-run either way.
+    run-to-run either way.  With a seed the result is a pure function of
+    ``(degree, seed)``, memoised per process: every synopsis construction
+    (window rotation, merge, snapshot restore) draws its encoder's
+    polynomials this way.  A generator's draws advance it, so that path
+    searches every time.
     """
     if degree < 1:
         raise HashingError(f"degree must be >= 1, got {degree}")
-    if not isinstance(rng, np.random.Generator):
-        rng = default_generator(rng)
+    if isinstance(rng, np.random.Generator):
+        return _search_irreducible(degree, rng)
+    return _seeded_irreducible(degree, rng)
+
+
+@lru_cache(maxsize=256)
+def _seeded_irreducible(degree: int, seed: int | None) -> int:
+    return _search_irreducible(degree, default_generator(seed))
+
+
+def _search_irreducible(degree: int, rng: np.random.Generator) -> int:
     high_bit = 1 << degree
     while True:
         candidate = high_bit | random_bits(rng, degree) | 1

@@ -617,7 +617,7 @@ class TestBlockedTopK:
             big = rng.integers(magnitude - 1000, magnitude, size=n)
             big *= rng.choice([-1, 1], size=n)
             for synopsis in (blocked, reference):
-                synopsis.streams.set_counters(residue, big)
+                synopsis.streams.counters[residue] = big
         blocked.ingest(trees[4:], batch_trees=5)
         reference.ingest(trees[4:], batch_trees=5)
         assert full_state(blocked) == full_state(reference)
@@ -640,7 +640,7 @@ class TestBlockedTopK:
         big = rng.integers(magnitude - 1000, magnitude, size=config.s1 * config.s2)
         big *= rng.choice([-1, 1], size=big.size)
         for synopsis in (blocked, reference):
-            synopsis.streams.set_counters(3, big)
+            synopsis.streams.counters[3] = big
             synopsis.streams.tracker(3).restore({heavy: 1 << 55})
         fallback, decided, in_process = [], [], []
         per_value, decide = TopKTracker._process, TopKTracker._decide

@@ -72,7 +72,7 @@ class TestSnapshotCommands:
         code = main(["snapshot", "load", str(path), "--query", "(article (author))"])
         assert code == 0
         out = capsys.readouterr().out
-        assert "format version:  2" in out
+        assert "format version:  3" in out
         assert "trees:           40" in out
         assert "estimate:" in out
 

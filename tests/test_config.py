@@ -49,17 +49,20 @@ class TestMemoryReport:
             provisioned_sketch_bytes=25 * 7 * 229 * 8,
             provisioned_topk_bytes=0,
             seed_bytes=25 * 7 * 4 * 8,
-            allocated_sketch_bytes=0,
-            allocated_topk_bytes=0,
         )
         assert 300 * 1024 <= report.provisioned_total <= 330 * 1024
 
     def test_totals(self):
-        report = MemoryReport(100, 50, 10, 80, 40)
+        report = MemoryReport(100, 50, 10)
         assert report.provisioned_total == 160
-        assert report.allocated_total == 130
+        config = SketchTreeConfig(
+            s1=25, s2=7, n_virtual_streams=229, topk_size=3, independence=4
+        )
+        assert MemoryReport.of(config) == MemoryReport(
+            25 * 7 * 229 * 8, 229 * 3 * 16, 25 * 7 * 4 * 8
+        )
 
     def test_format_units(self):
-        report = MemoryReport(2 << 20, 512, 100, 0, 0)
+        report = MemoryReport(2 << 20, 512, 100)
         text = report.format()
         assert "MB" in text and "B" in text

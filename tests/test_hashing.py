@@ -140,6 +140,27 @@ class TestGf2:
         # None falls back to repro.core.config.DEFAULT_SEED, never OS entropy.
         assert random_irreducible(31) == random_irreducible(31)
 
+    def test_seeded_search_runs_once_per_process(self, monkeypatch):
+        """A second encoder with the same seed runs no irreducibility
+        test and gets the same polynomials as the first."""
+        from repro.core.encoding import PatternEncoder
+        from repro.hashing import gf2
+
+        tested = []
+        real = gf2.is_irreducible
+        monkeypatch.setattr(
+            gf2, "is_irreducible", lambda poly: tested.append(poly) or real(poly)
+        )
+        first = PatternEncoder(seed=90210)  # a seed no other test draws
+        searched = len(tested)
+        second = PatternEncoder(seed=90210)
+        assert searched > 0
+        assert len(tested) == searched
+        assert second._sequence_fp.poly == first._sequence_fp.poly
+        assert (
+            second._labels._fingerprint.poly == first._labels._fingerprint.poly
+        )
+
     def test_random_irreducible_has_requested_degree(self):
         poly = random_irreducible(16, np.random.default_rng(1))
         assert gf2_degree(poly) == 16

@@ -92,6 +92,23 @@ class TestChebyshevBars:
         assert interval.estimate == 0.0
         assert interval.half_width == 0.0
 
+    @pytest.mark.parametrize("confidence", [0.0, 1.5])
+    def test_out_of_range_confidence_raises_on_every_path(self, confidence):
+        """An empty synopsis, a window and a two-shard view all check
+        ``confidence``, though the query's stream holds no value."""
+        from repro.core import CounterView, WindowedSketchTree
+
+        config = SketchTreeConfig(s1=10, s2=3, n_virtual_streams=31)
+        first = SketchTree(config)
+        readers = [
+            first,
+            WindowedSketchTree(config, window_trees=4, bucket_trees=2),
+            CounterView((first, first.empty_like())),
+        ]
+        for reader in readers:
+            with pytest.raises(ConfigError, match="confidence"):
+                reader.estimate_ordered_interval("(A (B))", confidence=confidence)
+
     def test_interval_repr_and_bounds(self):
         from repro.core import Interval
 

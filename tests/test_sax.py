@@ -131,7 +131,7 @@ class TestSketchXmlStream:
         via_trees = SketchTree(self.CONFIG).ingest(parse_forest(SAMPLE))
         via_sax = sketch_xml_stream(SketchTree(self.CONFIG), SAMPLE)
         for residue, matrix in via_trees.streams.iter_sketches():
-            other = via_sax.streams.sketch_if_allocated(residue)
+            other = via_sax.streams.sketch(residue)
             assert other is not None
             assert np.array_equal(matrix.counters, other.counters)
         assert via_sax.n_trees == via_trees.n_trees

@@ -165,7 +165,7 @@ class TestIngestionPaths:
         b = SketchTree(CONFIG)
         b.ingest_counts(exact.counts, n_trees=exact.n_trees)
         for residue, matrix in a.streams.iter_sketches():
-            other = b.streams.sketch_if_allocated(residue)
+            other = b.streams.sketch(residue)
             assert other is not None
             assert np.array_equal(matrix.counters, other.counters)
         assert a.n_values == b.n_values
@@ -194,7 +194,7 @@ class TestIngestionPaths:
         via_patterns = SketchTree(CONFIG)
         via_patterns.update_from_patterns(enumerate_patterns(tree, k))
         for residue, matrix in via_tree.streams.iter_sketches():
-            other = via_patterns.streams.sketch_if_allocated(residue)
+            other = via_patterns.streams.sketch(residue)
             assert other is not None
             assert np.array_equal(matrix.counters, other.counters)
         assert via_patterns.n_trees == 1

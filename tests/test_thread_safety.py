@@ -124,7 +124,7 @@ class TestShardedIngest:
         assert merged.n_trees == serial.n_trees
         assert merged.n_values == serial.n_values
         for residue, matrix in serial.streams.iter_sketches():
-            other = merged.streams.sketch_if_allocated(residue)
+            other = merged.streams.sketch(residue)
             assert other is not None
             assert np.array_equal(matrix.counters, other.counters)
 

@@ -186,7 +186,7 @@ class TestNaryMerge:
         for residue in range(TOPK.n_virtual_streams):
             sketch = SketchMatrix(TOPK.s1, TOPK.s2, xi=merged.streams.xi)
             for part in parts:
-                own = part.streams.sketch_if_allocated(residue)
+                own = part.streams.sketch(residue)
                 if own is not None:
                     sketch.counters += own.counters
             state = union.get(residue, {})

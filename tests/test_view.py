@@ -37,7 +37,7 @@ class TestSingleSource:
         single = synopsis(TREES)
         view = single.view()
         for residue, matrix in single.streams.iter_sketches():
-            assert view.sketch_if_allocated(residue) is matrix
+            assert view.sketch(residue) is matrix
         assert view.summary is single.summary
 
     def test_virtual_streams_share_the_view_code(self):
@@ -121,7 +121,7 @@ def per_residue_sum(reads: CounterReads, values) -> float:
     by_residue = reads._by_residue(values)
     total = 0.0
     for residue in sorted(by_residue):
-        matrix = reads.sketch_if_allocated(residue)
+        matrix = reads.sketch(residue)
         if matrix is None:
             continue
         stream_values = by_residue[residue]

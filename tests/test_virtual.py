@@ -1,4 +1,4 @@
-"""Tests for virtual streams: routing, lazy allocation, combination."""
+"""Tests for virtual streams: routing, one counter array, combination."""
 
 import numpy as np
 import pytest
@@ -35,12 +35,17 @@ class TestRouting:
         streams = VirtualStreams(1, s1=4, s2=2, seed=0)
         assert streams.residue(12345) == 0
 
-    def test_lazy_allocation(self):
+    def test_every_stream_is_a_row_of_one_array(self):
         streams = VirtualStreams(229, s1=4, s2=2, seed=0)
-        assert streams.n_allocated == 0
+        assert streams.counters.shape == (229, 8)
+        assert streams.counters.dtype == np.int64
+        assert all(
+            streams.sketch(r).counters.base is streams.counters for r in range(229)
+        )
+        assert streams.n_nonzero == 0
         streams.sketch(5).update(5, 1)
-        assert streams.n_allocated == 1
-        assert streams.sketch_if_allocated(6) is None
+        assert streams.n_nonzero == 1
+        assert streams.counters[5].any() and not streams.counters[6].any()
 
     def test_sketches_share_xi(self):
         streams = VirtualStreams(31, s1=4, s2=2, seed=0)
@@ -93,14 +98,16 @@ class TestCombination:
 
     def test_topk_trackers_per_stream(self):
         streams = VirtualStreams(31, s1=30, s2=5, seed=2, topk_size=2)
+        # Every stream's tracker exists before the first value.
+        trackers = [streams.tracker(r) for r in range(31)]
+        assert all(
+            t is not None and t.sketch is streams.sketch(r)
+            for r, t in enumerate(trackers)
+        )
         streams.sketch(0).update(0, 500)
         streams.tracker(0).process(0)
         assert streams.tracker(0).n_tracked == 1
-        # tracker() is non-allocating: a stream that never received a
-        # value has tracked nothing, and the query path must not mutate
-        # the stream table.
-        assert streams.tracker(1) is None
-        assert streams.n_allocated == 1
+        assert streams.tracker(1).n_tracked == 0
 
     def test_tracker_none_when_disabled(self):
         streams = VirtualStreams(31, s1=4, s2=2, seed=0, topk_size=0)
