@@ -1,10 +1,11 @@
 """Observability-overhead benchmark: metrics enabled vs. disabled ingest.
 
-The :mod:`repro.obs` layer promises that the disabled default costs one
-attribute check per hot-path call and that enabling a full
-:class:`~repro.obs.MetricsRegistry` stays within a few percent of the
-uninstrumented throughput.  This bench measures both ends of that claim
-on one generated stream:
+The :mod:`repro.obs` layer promises that every instrumented stage runs
+one body whatever the registry, so the null default pays only a few
+no-op instrument calls per stage, and that enabling a full
+:class:`~repro.obs.MetricsRegistry` stays within a few percent of that
+throughput.  This bench measures both ends of that claim on one
+generated stream:
 
 * **disabled** — :class:`~repro.stream.engine.StreamProcessor` feeding a
   :class:`~repro.core.sketchtree.SketchTree` with the process-default

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -144,83 +144,14 @@ class SketchTree(Queries):  # sketchlint: single-writer
         Metrics are pure observation: nothing here touches sketch state,
         and the registry is not serialised into snapshots — a restored
         synopsis starts on the process default and can be re-attached
-        with this method.  Pull gauges (non-zero streams, counter L2
-        mass, top-k churn) are registered against the synopsis' live
-        state; re-registering the same names rebinds them, so the last
-        synopsis to attach owns them (the registry keeps the synopsis
+        with this method.  The pull instruments of
+        :func:`register_synopsis_metrics` are registered over this
+        synopsis alone; re-registering the same names rebinds them, so
+        the last registration owns them (the registry keeps the synopsis
         alive through those callbacks).
         """
-        obs = metrics if metrics is not None else get_default_registry()
-        self._obs = obs
-        if not obs.enabled:
-            return
-        streams = self._streams
-        obs.gauge(
-            "virtual_streams_nonzero",
-            help="virtual streams whose counters are not all zero",
-            fn=lambda: streams.n_nonzero,
-        )
-        obs.gauge(
-            "sketch_counter_l2_mass",
-            help="sum of squared AMS counters across all streams",
-            fn=lambda: float(np.square(streams.counters, dtype=np.float64).sum()),
-        )
-        obs.counter(
-            "encoder_cache_hits_total",
-            help="pattern encodings served from the LRU memo",
-            fn=lambda: self._encoder.cache_hits,
-        )
-        obs.counter(
-            "encoder_cache_misses_total",
-            help="pattern encodings computed (LRU misses)",
-            fn=lambda: self._encoder.cache_misses,
-        )
-        obs.gauge(
-            "encoder_cache_size",
-            help="distinct patterns currently memoised",
-            fn=lambda: self._encoder.cache_size,
-        )
-        obs.gauge(
-            "encoder_label_cache_size",
-            help="distinct labels currently memoised by the label hash",
-            fn=lambda: self._encoder.label_cache_size,
-        )
-        enum_memo = self._enum_memo
-        obs.counter(
-            "enum_memo_hits_total",
-            help="node tables reused across structurally identical subtrees",
-            fn=lambda: enum_memo.hits,
-        )
-        obs.counter(
-            "enum_memo_misses_total",
-            help="node tables built fresh (first sight of a subtree shape)",
-            fn=lambda: enum_memo.misses,
-        )
-        obs.gauge(
-            "enum_memo_shapes",
-            help="distinct subtree shapes currently interned",
-            fn=lambda: enum_memo.n_shapes,
-        )
-        if self.config.topk_size:
-            obs.counter(
-                "topk_evictions_total",
-                help="tracked values evicted by larger newcomers (Algorithm 4)",
-                fn=lambda: sum(
-                    tracker.n_evictions for _, tracker in streams.iter_trackers()
-                ),
-            )
-            obs.counter(
-                "topk_rearrivals_total",
-                help="re-arrivals of already-tracked values (Algorithm 4)",
-                fn=lambda: sum(
-                    tracker.n_rearrivals for _, tracker in streams.iter_trackers()
-                ),
-            )
-            obs.gauge(
-                "topk_deleted_self_join_mass",
-                help="self-join mass currently deleted from the sketches",
-                fn=lambda: float(self.deleted_self_join_mass()),
-            )
+        self._obs = metrics if metrics is not None else get_default_registry()
+        register_synopsis_metrics(self._obs, (self,))
 
     @property
     def metrics(self) -> Registry:
@@ -252,15 +183,11 @@ class SketchTree(Queries):  # sketchlint: single-writer
         if not trees:
             return
         obs = self._obs
-        if not obs.enabled:
+        with obs.span("ingest_enumerate_seconds"):
             patterns, offsets = collect_forest_patterns(
                 trees, self.config.max_pattern_edges, self._enum_memo
             )
-        else:
-            with obs.span("ingest_enumerate_seconds"):
-                patterns, offsets = collect_forest_patterns(
-                    trees, self.config.max_pattern_edges, self._enum_memo
-                )
+        if obs.enabled:  # np.diff is work only a live histogram reads
             obs.histogram(
                 "ingest_patterns_per_tree", buckets=COUNT_BUCKETS
             ).observe_batch(np.diff(offsets))
@@ -391,22 +318,12 @@ class SketchTree(Queries):  # sketchlint: single-writer
         tree_offsets: list[int] | None = None,
     ) -> EncodedBatch:
         """Encode a pattern multiset into a routed columnar batch."""
-        obs = self._obs
-        if not obs.enabled:
+        with self._obs.span("ingest_encode_seconds"):
             raw = self._encoder.encode_batch(patterns)
             return EncodedBatch.build(
                 raw,
                 self.config.n_virtual_streams,
                 self._streams.xi,  # the ξ family owns value → field reduction
-                count=count,
-                tree_offsets=tree_offsets,
-            )
-        with obs.span("ingest_encode_seconds"):
-            raw = self._encoder.encode_batch(patterns)
-            return EncodedBatch.build(
-                raw,
-                self.config.n_virtual_streams,
-                self._streams.xi,
                 count=count,
                 tree_offsets=tree_offsets,
             )
@@ -423,9 +340,6 @@ class SketchTree(Queries):  # sketchlint: single-writer
         counter updates (``ingest_track_seconds``).
         """
         obs = self._obs
-        if not obs.enabled:
-            self._apply_batch(batch, track)
-            return
         began = time.perf_counter()
         tracking = self._apply_batch(batch, track)
         elapsed = time.perf_counter() - began
@@ -621,4 +535,81 @@ class SketchTree(Queries):  # sketchlint: single-writer
         return (
             f"SketchTree(trees={self.n_trees}, values={self.n_values}, "
             f"{self._streams!r})"
+        )
+
+
+def register_synopsis_metrics(obs: Registry, synopses: Sequence[SketchTree]) -> None:
+    """Register the synopsis pull instruments over ``synopses``' live state.
+
+    Each instrument reads the sum over ``synopses`` of what it reads on
+    one synopsis (docs/observability.md), so one registration covers
+    every shard of a service.  All of them share one config.
+    """
+    obs.gauge(
+        "virtual_streams_nonzero",
+        help="virtual streams whose counters are not all zero",
+        fn=lambda: sum(s.streams.n_nonzero for s in synopses),
+    )
+    obs.gauge(
+        "sketch_counter_l2_mass",
+        help="sum of squared AMS counters across all streams",
+        fn=lambda: sum(
+            float(np.square(s.streams.counters, dtype=np.float64).sum())
+            for s in synopses
+        ),
+    )
+    obs.counter(
+        "encoder_cache_hits_total",
+        help="pattern encodings served from the LRU memo",
+        fn=lambda: sum(s.encoder.cache_hits for s in synopses),
+    )
+    obs.counter(
+        "encoder_cache_misses_total",
+        help="pattern encodings computed (LRU misses)",
+        fn=lambda: sum(s.encoder.cache_misses for s in synopses),
+    )
+    obs.gauge(
+        "encoder_cache_size",
+        help="distinct patterns currently memoised",
+        fn=lambda: sum(s.encoder.cache_size for s in synopses),
+    )
+    obs.gauge(
+        "encoder_label_cache_size",
+        help="distinct labels currently memoised by the label hash",
+        fn=lambda: sum(s.encoder.label_cache_size for s in synopses),
+    )
+    obs.counter(
+        "enum_memo_hits_total",
+        help="node tables reused across structurally identical subtrees",
+        fn=lambda: sum(s._enum_memo.hits for s in synopses),
+    )
+    obs.counter(
+        "enum_memo_misses_total",
+        help="node tables built fresh (first sight of a subtree shape)",
+        fn=lambda: sum(s._enum_memo.misses for s in synopses),
+    )
+    obs.gauge(
+        "enum_memo_shapes",
+        help="distinct subtree shapes currently interned",
+        fn=lambda: sum(s._enum_memo.n_shapes for s in synopses),
+    )
+    if synopses[0].config.topk_size:
+        obs.counter(
+            "topk_evictions_total",
+            help="tracked values evicted by larger newcomers (Algorithm 4)",
+            fn=lambda: sum(
+                t.n_evictions for s in synopses for _, t in s.streams.iter_trackers()
+            ),
+        )
+        obs.counter(
+            "topk_rearrivals_total",
+            help="re-arrivals of already-tracked values (Algorithm 4)",
+            fn=lambda: sum(
+                t.n_rearrivals for s in synopses for _, t in s.streams.iter_trackers()
+            ),
+        )
+        obs.gauge(
+            "topk_deleted_self_join_mass",
+            help="self-join mass currently deleted from the sketches",
+            fn=lambda: sum(s.deleted_self_join_mass() for s in synopses),
         )

@@ -96,6 +96,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import asdict
+from math import inf
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, NamedTuple
 
@@ -347,6 +348,9 @@ def _restore_trackers(synopsis: SketchTree, header: dict[str, Any]) -> None:
             "snapshot carries top-k tracker state but its config has "
             "topk_size=0 — refusing an inconsistent restore"
         )
+    config = synopsis.config
+    n_streams = config.n_virtual_streams
+    ceiling = 1 << config.fingerprint_degree if config.mapping == "rabin" else inf
     for residue_text, entries in trackers.items():
         try:
             residue = int(residue_text)
@@ -356,15 +360,17 @@ def _restore_trackers(synopsis: SketchTree, header: dict[str, Any]) -> None:
                 f"snapshot tracker state for stream {residue_text!r} is "
                 f"malformed: {exc}"
             ) from exc
-        n_streams = synopsis.config.n_virtual_streams
         if not 0 <= residue < n_streams:
             raise SnapshotFormatError(
                 f"snapshot tracker stream {residue} outside [0, {n_streams})"
             )
         # Every writer files a value under its own residue (ingest,
         # merge and window refolds all route by it); a value filed
-        # elsewhere was never deleted from this stream's counters.
-        misfiled = [v for v in state if v < 0 or v % n_streams != residue]
+        # elsewhere was never deleted from this stream's counters.  A
+        # Rabin value is below 2**degree; pairing values are unbounded.
+        misfiled = [
+            v for v in state if v < 0 or v % n_streams != residue or v >= ceiling
+        ]
         if misfiled:
             raise SnapshotFormatError(
                 f"snapshot tracker state for stream {residue} holds value "
@@ -738,22 +744,19 @@ class CheckpointManager:  # sketchlint: thread-safe
         name = f"{self.prefix}-{synopsis.n_trees:012d}{self.SUFFIX}"
         obs = self.metrics
         with self._lock:
-            if not obs.enabled:
-                path = save_snapshot(synopsis, self.directory / name)
-            else:
-                start = time.perf_counter()
-                path = save_snapshot(synopsis, self.directory / name)
-                obs.histogram("snapshot_save_seconds").observe(
-                    time.perf_counter() - start
-                )
-                size = path.stat().st_size
-                obs.histogram(
-                    "snapshot_save_bytes", buckets=BYTE_BUCKETS
-                ).observe(size)
-                obs.counter(
-                    "snapshot_save_bytes_total",
-                    help="bytes written by checkpoint saves",
-                ).inc(size)
+            start = time.perf_counter()
+            path = save_snapshot(synopsis, self.directory / name)
+            obs.histogram("snapshot_save_seconds").observe(
+                time.perf_counter() - start
+            )
+            size = path.stat().st_size
+            obs.histogram(
+                "snapshot_save_bytes", buckets=BYTE_BUCKETS
+            ).observe(size)
+            obs.counter(
+                "snapshot_save_bytes_total",
+                help="bytes written by checkpoint saves",
+            ).inc(size)
             self.n_saves += 1
             self._prune()
         return path
@@ -778,8 +781,6 @@ class CheckpointManager:  # sketchlint: thread-safe
     ) -> "SketchTree | WindowedSketchTree":
         """Load one checkpoint file (see :func:`load_snapshot`)."""
         obs = self.metrics
-        if not obs.enabled:
-            return load_snapshot(path, expected_config)
         start = time.perf_counter()
         synopsis = load_snapshot(path, expected_config)
         obs.histogram("snapshot_load_seconds").observe(

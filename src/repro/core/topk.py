@@ -377,11 +377,6 @@ class TopKTracker:  # sketchlint: thread-safe
         with self._lock:
             return len(self._freq)
 
-    def deleted_frequency(self, value: int) -> int:
-        """Occurrences of ``value`` currently deleted from the sketch."""
-        with self._lock:
-            return self._freq.get(value, 0)
-
     def deleted_self_join_mass(self) -> int:
         """``Σ f_v²`` over tracked values — the self-join mass removed."""
         with self._lock:

@@ -144,12 +144,11 @@ class CounterReads:
     def combined(self, residues: Iterable[int], values: Iterable[int]) -> SketchMatrix:
         """A temporary sketch over the union of streams, with top-k
         compensation for the given query values already applied."""
-        combined = SketchMatrix(self.s1, self.s2, xi=self.xi)
-        combined.counters = self.combined_counters(residues)
+        counters = self.combined_counters(residues)
         adjust = self.combined_adjustment(values)
         if adjust is not None:
-            combined.counters = combined.counters + adjust
-        return combined
+            counters = counters + adjust
+        return SketchMatrix._over(counters, self.s1, self.s2, self.xi)
 
     def estimate_sum_grouped(self, values: Iterable[int]) -> float:
         """Estimate ``Σ f_q`` by per-stream partial sums.
@@ -233,9 +232,8 @@ class CounterView(CounterReads):
     def sketch(self, residue: int) -> SketchMatrix:
         if len(self._streams) == 1:
             return self._streams[0].sketch(residue)
-        summed = SketchMatrix(self.s1, self.s2, xi=self.xi)
-        summed.counters = np.add.reduce([s.counters[residue] for s in self._streams])
-        return summed
+        summed = np.add.reduce([s.counters[residue] for s in self._streams])
+        return SketchMatrix._over(summed, self.s1, self.s2, self.xi)
 
     def adjustment(self, residue: int, values: list[int]) -> np.ndarray | None:
         return _sum_optional(s.adjustment(residue, values) for s in self._streams)

@@ -107,12 +107,9 @@ class VirtualStreams(CounterReads):  # sketchlint: single-writer
             raise ConfigError(f"unknown xi_family {xi_family!r}")
         #: Every stream's counters: row ``r`` is stream ``r``'s.
         self.counters = np.zeros((n_streams, s1 * s2), dtype=np.int64)
-        matrices: list[SketchMatrix] = []
-        for row in self.counters:
-            matrix = SketchMatrix(s1, s2, xi=self.xi)
-            matrix.counters = row
-            matrices.append(matrix)
-        self._matrices = tuple(matrices)
+        self._matrices = tuple(
+            SketchMatrix._over(row, s1, s2, self.xi) for row in self.counters
+        )
         #: Every tracker's mutex: :meth:`track_rows` decides all touched
         #: streams under one acquisition.
         self._tracker_lock = threading.Lock()

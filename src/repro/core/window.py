@@ -101,7 +101,6 @@ class WindowedSketchTree(Queries):  # sketchlint: single-writer
         #: candidate values replayed through ``bulk_build``.
         self.n_refolds = 0
         self.n_refold_candidates = 0
-        self._obs: Registry = get_default_registry()
 
     # ------------------------------------------------------------------
     # Stream side
@@ -226,16 +225,13 @@ class WindowedSketchTree(Queries):  # sketchlint: single-writer
     # Observability
     # ------------------------------------------------------------------
     def set_metrics(self, metrics: Registry | None) -> None:
-        """Attach a metrics registry (``None`` → the process default).
+        """Register pull instruments over live window state on a
+        metrics registry (``None`` → the process default).
 
-        Pull instruments over live window state, same semantics as
-        :meth:`SketchTree.set_metrics` (re-registering rebinds; nothing
-        here mutates window state).
+        Same semantics as :meth:`SketchTree.set_metrics` (re-registering
+        rebinds; nothing here mutates window state).
         """
         obs = metrics if metrics is not None else get_default_registry()
-        self._obs = obs
-        if not obs.enabled:
-            return
         obs.gauge(
             "window_live_buckets",
             help="buckets currently retained (complete + in-progress)",

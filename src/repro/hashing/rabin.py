@@ -15,6 +15,7 @@ label strings.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,6 +25,14 @@ from repro.hashing.gf2 import gf2_degree, gf2_mod, is_irreducible, random_irredu
 
 #: Default degree used in all the paper's experiments.
 DEFAULT_DEGREE = 31
+
+
+@lru_cache(maxsize=256)
+def _byte_table(poly: int) -> tuple[int, ...]:
+    """:class:`RabinFingerprint`'s byte table, a pure function of the
+    polynomial memoised per process: every synopsis builds two."""
+    degree = gf2_degree(poly)
+    return tuple(gf2_mod(t << degree, poly) for t in range(256))
 
 
 class RabinFingerprint:  # sketchlint: thread-confined
@@ -71,7 +80,7 @@ class RabinFingerprint:  # sketchlint: thread-confined
         # table[t] = (t << degree) mod poly, for the byte-at-a-time feed:
         # state' = ((state << 8) | byte) mod poly
         #        = ((state & mask_low) << 8 | byte) XOR table[state >> (degree-8)]
-        self._table = tuple(gf2_mod(t << self.degree, poly) for t in range(256))
+        self._table = _byte_table(poly)
         # Lazily grown (n_shifts, 256) table for the vectorised batch
         # path: _pos_tables[s][b] = (b << 8s) mod poly.
         self._pos_tables: np.ndarray | None = None

@@ -1,7 +1,7 @@
 """Runtime observability: metrics registry, timing spans, exporters.
 
-See :mod:`repro.obs.registry` for the design (one-attribute-check
-disabled path, pull instruments) and :doc:`docs/observability.md` for
+See :mod:`repro.obs.registry` for the design (one code path with
+metrics on or off, pull instruments) and :doc:`docs/observability.md` for
 usage.  Quick start::
 
     from repro.obs import MetricsRegistry, to_prometheus_text

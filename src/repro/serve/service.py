@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro.core.config import SketchTreeConfig
-from repro.core.sketchtree import SketchTree
+from repro.core.sketchtree import SketchTree, register_synopsis_metrics
 from repro.core.snapshot import CheckpointManager
 from repro.core.view import CounterView
 from repro.core.window import WindowedSketchTree
@@ -183,6 +183,9 @@ class ShardedService:  # sketchlint: thread-safe
     def _register_metrics(self) -> None:
         shards = self.shards
         obs = self.metrics
+        # Over every shard: each shard synopsis registered over itself
+        # alone when it was built or resumed, and this registration wins.
+        register_synopsis_metrics(obs, tuple(shard.synopsis for shard in shards))
         obs.gauge(
             "serve_shards",
             help="configured ingest shards",

@@ -23,15 +23,11 @@ Two classes:
 from __future__ import annotations
 
 from math import factorial
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.sketch.xi import XiGenerator
-
-if TYPE_CHECKING:
-    from repro.core.batch import EncodedBatch
 
 #: Batch size for chunked ξ evaluation; bounds peak memory of an update to
 #: one ``(_CHUNK, n_instances)`` int8 row block plus the kernel's tiles.
@@ -135,6 +131,18 @@ class SketchMatrix:  # sketchlint: single-writer
         self.xi = xi
         self.counters = np.zeros(s1 * s2, dtype=np.int64)
 
+    @classmethod
+    def _over(
+        cls, counters: np.ndarray, s1: int, s2: int, xi: XiGenerator
+    ) -> SketchMatrix:
+        """A matrix holding ``counters`` itself, uncopied, with no zeros
+        built first: a stream's row of a shared array, a summed read, a
+        copy.  The caller vouches that ``xi`` and ``counters`` have
+        ``s1 · s2`` instances."""
+        matrix = cls.__new__(cls)
+        matrix.s1, matrix.s2, matrix.xi, matrix.counters = s1, s2, xi, counters
+        return matrix
+
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
@@ -147,22 +155,15 @@ class SketchMatrix:  # sketchlint: single-writer
         self.update(value, -count)
 
     def update_batch(
-        self,
-        values: "np.ndarray | EncodedBatch",
-        counts: np.ndarray | None = None,
+        self, values: np.ndarray, counts: np.ndarray | None = None
     ) -> None:
         """Add a batch of (value, count) pairs in vectorised chunks.
 
         Equivalent to calling :meth:`update` per pair; the chunking keeps
         peak memory bounded while amortising numpy call overhead, which is
-        what makes streaming whole trees cheap.
-
-        ``values`` may be a plain int64 array (with optional ``counts``)
-        or an :class:`~repro.core.batch.EncodedBatch`, whose ``values``
-        and ``counts`` columns are used directly; the batch's residue
-        column is ignored — every row updates *this* matrix, so callers
-        routing across virtual streams must group first
-        (:meth:`~repro.core.virtual.VirtualStreams.update_batch`).
+        what makes streaming whole trees cheap.  Every pair updates *this*
+        matrix: routing across virtual streams is
+        :meth:`~repro.core.virtual.VirtualStreams.update_batch`.
 
         Memory bound: each chunk materialises one ``(_CHUNK,
         n_instances)`` int8 ξ row block (:meth:`XiGenerator.sign_rows`,
@@ -172,14 +173,6 @@ class SketchMatrix:  # sketchlint: single-writer
         + 2 · 256 · 8)`` bytes — ≈ 2.7 MiB at the defaults (``s1=50,
         s2=7, _CHUNK=4096``) — independent of batch length.
         """
-        if not isinstance(values, np.ndarray) and hasattr(values, "residues"):
-            # An EncodedBatch carrier (duck-typed to avoid a circular
-            # import of repro.core.batch on the hot path).
-            if counts is not None:
-                raise ConfigError(
-                    "pass counts inside the EncodedBatch, not separately"
-                )
-            values, counts = values.values, values.counts
         values = np.asarray(values, dtype=np.int64)
         if counts is None:
             counts = np.ones(len(values), dtype=np.int64)
@@ -321,11 +314,6 @@ class SketchMatrix:  # sketchlint: single-writer
         squared = counters.astype(np.float64) ** 2
         return self._boost(squared)
 
-    def per_instance(self, adjust: np.ndarray | None = None) -> np.ndarray:
-        """Raw counters (plus optional adjustment) — for expression
-        estimators that combine powers of X themselves."""
-        return self.counters if adjust is None else self.counters + adjust
-
     def boost(self, per_instance: np.ndarray) -> float:
         """Public median-of-means reducer for externally built Z arrays."""
         return self._boost(np.asarray(per_instance, dtype=np.float64))
@@ -341,15 +329,13 @@ class SketchMatrix:  # sketchlint: single-writer
         """
         if other.xi is not self.xi:
             raise ConfigError("can only merge sketches sharing one XiGenerator")
-        merged = SketchMatrix(self.s1, self.s2, xi=self.xi)
-        merged.counters = self.counters + other.counters
-        return merged
+        counters = self.counters + other.counters
+        return SketchMatrix._over(counters, self.s1, self.s2, self.xi)
 
     def copy(self) -> "SketchMatrix":
         """Deep copy (counters copied, ξ family shared)."""
-        clone = SketchMatrix(self.s1, self.s2, xi=self.xi)
-        clone.counters = self.counters.copy()
-        return clone
+        counters = self.counters.copy()
+        return SketchMatrix._over(counters, self.s1, self.s2, self.xi)
 
     @property
     def n_instances(self) -> int:

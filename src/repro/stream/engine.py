@@ -204,24 +204,20 @@ class StreamProcessor:  # sketchlint: single-writer
         stats.total_nodes += sum(tree.n_nodes for tree in chunk)
         chunk.clear()
         obs = self.metrics
-        if obs.enabled:
-            obs.histogram("stream_flush_seconds").observe(elapsed)
-            obs.histogram(
-                "stream_batch_trees", buckets=COUNT_BUCKETS
-            ).observe(n_chunk)
-            obs.counter(
-                "stream_trees_total", help="trees fed to the consumers"
-            ).inc(n_chunk)
+        obs.histogram("stream_flush_seconds").observe(elapsed)
+        obs.histogram(
+            "stream_batch_trees", buckets=COUNT_BUCKETS
+        ).observe(n_chunk)
+        obs.counter(
+            "stream_trees_total", help="trees fed to the consumers"
+        ).inc(n_chunk)
         position = stats.stream_position
         if (
             self.checkpoint_every
             and self.on_checkpoint is not None
             and position % self.checkpoint_every == 0
         ):
-            if obs.enabled:
-                with obs.span("stream_checkpoint_seconds"):
-                    result = self.on_checkpoint(position)
-            else:
+            with obs.span("stream_checkpoint_seconds"):
                 result = self.on_checkpoint(position)
             stats.checkpoint_results.append(result)
         if (
@@ -229,10 +225,7 @@ class StreamProcessor:  # sketchlint: single-writer
             and self.checkpoints is not None
             and position % self.snapshot_every == 0
         ):
-            if obs.enabled:
-                with obs.span("stream_snapshot_seconds"):
-                    path = self.snapshot_now()
-            else:
+            with obs.span("stream_snapshot_seconds"):
                 path = self.snapshot_now()
             stats.snapshot_paths.append(path)
 

@@ -39,7 +39,6 @@ from repro.enumtree import (
 from repro.errors import ConfigError
 from repro.hashing.pairing import pair_sequence, pair_sequences
 from repro.hashing.rabin import RabinFingerprint
-from repro.sketch import SketchMatrix
 from repro.stream import StreamProcessor
 from repro.trees import from_sexpr
 from repro.trees.builders import from_nested
@@ -369,31 +368,6 @@ class TestBoundedIngestCaches:
             assert np.array_equal(ours[residue].counters, matrix.counters)
         query = "(r7 (b7 (c7)))"
         assert bounded.estimate_ordered(query) == unbounded.estimate_ordered(query)
-
-
-class TestSketchMatrixBatch:
-    def test_update_batch_accepts_encoded_batch(self):
-        config = small_config()
-        synopsis = SketchTree(config)
-        raw = [3, 17, 3, 99, 17]
-        counts = [2, 1, -1, 4, 1]
-        batch = EncodedBatch.build(
-            raw, 1, synopsis.streams.xi, counts=counts
-        )
-        direct = SketchMatrix(config.s1, config.s2, xi=synopsis.streams.xi)
-        direct.update_batch(batch)
-        reference = SketchMatrix(config.s1, config.s2, xi=synopsis.streams.xi)
-        for value, count in zip(raw, counts):
-            reference.update(value, count)
-        np.testing.assert_array_equal(direct.counters, reference.counters)
-
-    def test_update_batch_rejects_separate_counts_with_batch(self):
-        config = small_config()
-        synopsis = SketchTree(config)
-        batch = EncodedBatch.build([1, 2], 1, synopsis.streams.xi)
-        matrix = SketchMatrix(config.s1, config.s2, xi=synopsis.streams.xi)
-        with pytest.raises(ConfigError):
-            matrix.update_batch(batch, counts=np.array([1, 1]))
 
 
 class TestStreamProcessorBatching:

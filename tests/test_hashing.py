@@ -188,6 +188,27 @@ class TestRabinFingerprint:
         as_int = int.from_bytes(data, "big")
         assert fp.of_bytes(data) == gf2_mod(as_int, fp.poly)
 
+    def test_byte_table_built_once_per_polynomial(self, monkeypatch):
+        """A second fingerprint with the same polynomial runs no
+        ``gf2_mod``: its byte table and its polynomial are memoised."""
+        from repro.hashing import gf2, rabin
+
+        calls = []
+        for module in (gf2, rabin):
+            real = module.gf2_mod
+            monkeypatch.setattr(
+                module,
+                "gf2_mod",
+                lambda a, m, real=real: calls.append(m) or real(a, m),
+            )
+        first = RabinFingerprint(seed=4711)  # a seed no other test draws
+        built = len(calls)
+        second = RabinFingerprint(seed=4711)
+        assert built >= 256
+        assert len(calls) == built
+        assert second._table is first._table
+        assert second.of_bytes(b"hello") == first.of_bytes(b"hello")
+
     def test_values_bounded_by_degree(self):
         fp = RabinFingerprint(seed=0, degree=31)
         for payload in (b"", b"x", bytes(100)):

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import SketchTreeConfig
 from repro.core.sketchtree import SketchTree
+from repro.datasets.dblp import DblpGenerator
 from repro.errors import ConfigError, ReproError
 from repro.obs.registry import MetricsRegistry
 import repro.serve.api as api_module
@@ -365,6 +366,47 @@ class TestShardedService:
             assert service.admin_estimate("ordered", "(A (B))")["faulted_shards"] == [0]
         finally:
             service.stop()
+
+    def test_synopsis_metrics_cover_every_shard(self):
+        """Every shard synopsis registers the synopsis instruments under
+        the same names; the service's registration over all of them wins."""
+        registry = MetricsRegistry()
+        config = dataclasses.replace(CONFIG, topk_size=2)
+        service = ShardedService(config, n_shards=3, metrics=registry)
+        trees = list(DblpGenerator(seed=3).generate(20))
+        service.start()
+        try:
+            for size in (3, 7, 20):  # round robin: shard i gets batch i
+                service.submit(trees[:size])
+            service.drain()
+        finally:
+            service.stop()
+        synopses = [shard.synopsis for shard in service.shards]
+        trackers = [t for s in synopses for _, t in s.streams.iter_trackers()]
+        expected = {
+            "encoder_cache_hits_total": sum(s.encoder.cache_hits for s in synopses),
+            "encoder_cache_misses_total": sum(
+                s.encoder.cache_misses for s in synopses
+            ),
+            "enum_memo_hits_total": sum(s._enum_memo.hits for s in synopses),
+            "enum_memo_misses_total": sum(s._enum_memo.misses for s in synopses),
+            "topk_evictions_total": sum(t.n_evictions for t in trackers),
+            "topk_rearrivals_total": sum(t.n_rearrivals for t in trackers),
+        }
+        counters = {c.name: c.value for c in registry.all_counters()}
+        assert {name: counters[name] for name in expected} == expected
+        last = synopses[-1]
+        assert expected["encoder_cache_misses_total"] > last.encoder.cache_misses
+        assert expected["topk_evictions_total"] > sum(
+            t.n_evictions for _, t in last.streams.iter_trackers()
+        )
+        gauges = {g.name: g.value for g in registry.all_gauges()}
+        assert gauges["encoder_label_cache_size"] == sum(
+            s.encoder.label_cache_size for s in synopses
+        )
+        assert gauges["topk_deleted_self_join_mass"] == (
+            service.view().deleted_self_join_mass()
+        )
 
     def test_health_and_ready_derive_from_gauges(self):
         registry = MetricsRegistry()

@@ -8,6 +8,7 @@ rejection of pickle blobs, and the canonical value-reduction regression
 for values at and beyond 2^31 - 1.
 """
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -51,6 +52,7 @@ from repro.errors import (
     SnapshotIntegrityError,
     SnapshotVersionError,
 )
+from repro.obs import MetricsRegistry
 from repro.query.summary import QueryNode, StructuralSummary
 from repro.query.xpath import parse_xpath
 from repro.sketch.ams import SketchMatrix
@@ -302,7 +304,7 @@ class TestRejection:
         with pytest.raises(SnapshotFormatError, match="topk_size=0"):
             snapshot_from_bytes(tampered)
 
-    @pytest.mark.parametrize("misfile", ["other_stream", "negative"])
+    @pytest.mark.parametrize("misfile", ["other_stream", "negative", "beyond_rabin"])
     def test_tracker_value_outside_its_stream_rejected(self, misfile):
         blob = build(FULL, STREAM).to_bytes()
 
@@ -312,6 +314,9 @@ class TestRejection:
             if misfile == "negative":
                 # Still in the stream's residue class: only the sign is wrong.
                 value = int(residue) - FULL.n_virtual_streams
+            elif misfile == "beyond_rabin":
+                # Same residue, but no degree-31 Rabin encoder reaches 2**31.
+                value += FULL.n_virtual_streams * 2**40
             else:
                 value += 1
             entries[0][0] = str(value)
@@ -319,6 +324,18 @@ class TestRejection:
         tampered = rewrite_header(blob, mutate)
         with pytest.raises(SnapshotFormatError, match="not in that stream"):
             snapshot_from_bytes(tampered)
+
+    def test_large_pairing_tracker_value_restores(self):
+        """Pairing values are unbounded: only sign and residue are checked."""
+        config = dataclasses.replace(FULL, mapping="pairing")
+        blob = build(config, STREAM).to_bytes()
+        big = 5 + config.n_virtual_streams * 2**40
+
+        def mutate(header):
+            header["trackers"][str(big % config.n_virtual_streams)] = [[str(big), 1]]
+
+        restored = snapshot_from_bytes(rewrite_header(blob, mutate))
+        assert restored.streams.tracker(5).tracked[big] == 1
 
     def test_summary_without_maintain_summary_rejected(self):
         blob = build(BASE, STREAM[:4]).to_bytes()
@@ -531,6 +548,21 @@ class TestCheckpointManager:
         path.write_bytes(b"garbage")
         with pytest.raises(SnapshotIntegrityError, match="no loadable"):
             manager.load_latest()
+
+    def test_failed_load_records_nothing(self, tmp_path):
+        """Only a load that returns a synopsis is timed and counted."""
+        registry = MetricsRegistry()
+        manager = CheckpointManager(tmp_path, metrics=registry)
+        path = manager.save(build(BASE, STREAM[:2]))
+        path.write_bytes(path.read_bytes()[:-5])
+        with pytest.raises(SnapshotError):
+            manager.load(path)
+        names = [
+            instrument.name
+            for instrument in registry.all_histograms() + registry.all_counters()
+        ]
+        assert "snapshot_save_seconds" in names
+        assert not [name for name in names if name.startswith("snapshot_load_")]
 
     def test_invalid_parameters(self, tmp_path):
         with pytest.raises(ConfigError):
